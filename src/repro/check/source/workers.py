@@ -3,8 +3,10 @@
 ``S201``  an unpicklable callable handed to a process-dispatch point:
           a ``lambda``, a function nested inside another function (a
           closure), or a bound instance attribute (``self.method``)
-          passed as the ``setup`` of
-          :func:`repro.perf.parallel.run_tasks_parallel`, the
+          passed as the ``factory`` of
+          :func:`repro.perf.stream.stream_jobs` or as a callable inside
+          its ``factory_args`` tuple (the ``setup`` that
+          ``_task_bundle_factory`` runs in every worker), the
           ``target=`` of a ``Process``, or the callable of a
           ``pool.map``-family call.  Only module-level callables
           survive pickling into a spawned worker — a closure happens to
@@ -18,13 +20,15 @@
           state fork-diverge silently: each process mutates its own
           copy, the parent never sees it, and the same code running on
           the serial path *does* mutate the shared module — the
-          serial/parallel byte-equality the suite runner promises then
+          serial/parallel byte-equality the batch layer promises then
           depends on nobody reading that state.  Reachability is a
           best-effort static call graph: module-level functions only,
           names resolved through each module's imports, walked from
           ``_worker_main``/``_init_worker``/``_run_task`` and from
-          every callable passed as a ``setup``/``target`` at a
-          dispatch point.  Intentional per-process state (the worker's
+          every callable passed as a factory/setup/target at a
+          dispatch point; a function that reads a module-level
+          dispatch table (a dict of module functions) reaches every
+          function in it.  Intentional per-process state (the worker's
           own ``_STATE``, process-local counters that are explicitly
           merged) carries an inline ``# repro: allow[S202]`` with its
           justification.
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.check.source.model import (
     Finding,
@@ -52,9 +56,6 @@ ENTRY_POINTS: Tuple[str, ...] = (
     "repro.perf.parallel._worker_main",
     "repro.perf.parallel._init_worker",
     "repro.perf.parallel._run_task",
-    "repro.perf.parallel._suite_bundle_factory",
-    "repro.perf.parallel._task_bundle_factory",
-    "repro.perf.campaign._mapping_bundle_factory",
 )
 
 #: Methods that mutate their receiver in place.
@@ -99,19 +100,22 @@ def _is_immutable_value(node: Optional[ast.expr]) -> bool:
     return False
 
 
-def _mutable_globals(info: ModuleInfo) -> Set[str]:
-    names: Set[str] = set()
+def _module_assignments(
+    info: ModuleInfo,
+) -> Iterator[Tuple[List[str], Optional[ast.expr]]]:
+    """``(target names, value)`` of every module-level assignment."""
     for stmt in info.tree.body:
         if isinstance(stmt, ast.Assign):
-            value: Optional[ast.expr] = stmt.value
-            targets = [t for t in stmt.targets if isinstance(t, ast.Name)]
+            yield [t.id for t in stmt.targets if isinstance(t, ast.Name)], stmt.value
         elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            value = stmt.value
-            targets = [stmt.target]
-        else:
-            continue
+            yield [stmt.target.id], stmt.value
+
+
+def _mutable_globals(info: ModuleInfo) -> Set[str]:
+    names: Set[str] = set()
+    for targets, value in _module_assignments(info):
         if not _is_immutable_value(value):
-            names.update(t.id for t in targets)
+            names.update(targets)
     return names
 
 
@@ -208,6 +212,16 @@ def _scan_module(
     local_classes = {
         stmt.name for stmt in info.tree.body if isinstance(stmt, ast.ClassDef)
     }
+    # Module-level dispatch tables: name -> the module functions listed.
+    tables: Dict[str, Set[str]] = {
+        name: {
+            f"{info.module}.{entry.id}" for entry in value.values
+            if isinstance(entry, ast.Name) and entry.id in local_functions
+        }
+        for names, value in _module_assignments(info)
+        if isinstance(value, ast.Dict)
+        for name in names
+    }
 
     def classify_callable(expr: ast.expr,
                           enclosing: List[ast.AST]) -> Optional[str]:
@@ -241,35 +255,52 @@ def _scan_module(
             )
         return None
 
-    def dispatch_callable(node: ast.Call) -> Optional[ast.expr]:
-        """The callable argument of a dispatch point, if this is one."""
+    def argument(node: ast.Call, position: int,
+                 keyword: str) -> Optional[ast.expr]:
+        for kw in node.keywords:
+            if kw.arg == keyword:
+                return kw.value
+        return node.args[position] if len(node.args) > position else None
+
+    def dispatch_callables(node: ast.Call) -> List[ast.expr]:
+        """The callable arguments of a dispatch point, if this is one."""
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else (
             func.id if isinstance(func, ast.Name) else None
         )
-        if name == "run_tasks_parallel":
-            for kw in node.keywords:
-                if kw.arg == "setup":
-                    return kw.value
-            return node.args[0] if node.args else None
+        if name == "stream_jobs":
+            found = [argument(node, 1, "factory")]
+            factory_args = argument(node, 2, "factory_args")
+            if isinstance(factory_args, ast.Tuple):
+                # Data arguments are names too; only lambdas and plain
+                # names can be callables handed on to the workers.
+                found.extend(
+                    el for el in factory_args.elts
+                    if isinstance(el, (ast.Lambda, ast.Name))
+                )
+            return [expr for expr in found if expr is not None]
         if name == "Process":
-            for kw in node.keywords:
-                if kw.arg == "target":
-                    return kw.value
-            return None
+            target = argument(node, 1, "target")
+            return [target] if target is not None else []
         if (
             isinstance(func, ast.Attribute)
             and name in _POOL_METHODS
             and node.args
         ):
-            return node.args[0]
-        return None
+            return [node.args[0]]
+        return []
 
     def scan(node: ast.AST, record: Optional[_FunctionRecord],
              enclosing: List[ast.AST]) -> None:
+        if (
+            record is not None
+            and isinstance(node, ast.Name)
+            and node.id in tables
+            and node.id not in local_bindings(record.node)
+        ):
+            record.calls.update(tables[node.id])
         if isinstance(node, ast.Call):
-            callable_arg = dispatch_callable(node)
-            if callable_arg is not None:
+            for callable_arg in dispatch_callables(node):
                 problem = classify_callable(callable_arg, enclosing)
                 if problem is not None:
                     findings.append(Finding(

@@ -212,11 +212,14 @@ def _cmd_flowmap(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     import time
 
+    from repro.perf.counters import RunStats
+
     names = TABLE23_NAMES if args.fast else None
+    stats = RunStats()
     common = dict(verify=not args.no_verify, jobs=args.jobs,
                   cache=not args.no_cache, engine=args.engine,
                   cell_timeout=args.cell_timeout, retries=args.retries,
-                  journal=args.journal, resume=args.resume)
+                  journal=args.journal, resume=args.resume, stats=stats)
     started = time.perf_counter()
     if args.number == 1:
         rows = exp.table1(names=names, **common)
@@ -235,12 +238,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
     failed = [row for row in rows if getattr(row, "failed", False)]
     if args.bench_json:
         from repro.perf.benchjson import rows_to_records, write_bench_json
-        from repro.perf.parallel import LAST_RUN_STATS
 
         extra = {"table": args.number, "cache": not args.no_cache,
                  "engine": args.engine}
         if failed or args.journal or args.resume or args.cell_timeout:
-            extra["run_stats"] = LAST_RUN_STATS.as_dict()
+            extra["run_stats"] = stats.as_dict()
         write_bench_json(
             args.bench_json,
             library=library,
@@ -358,8 +360,8 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     sections: List[str] = []
     names = TABLE23_NAMES if args.fast else None
     # One journal serves all three tables: cell records are keyed by
-    # (spec, kind, circuit, ...), so a resumed battery skips every
-    # finished cell of every table.
+    # every job field (library, circuit, ...), so a resumed battery
+    # skips every finished cell of every table.
     runner = dict(jobs=args.jobs, cell_timeout=args.cell_timeout,
                   retries=args.retries, journal=args.journal,
                   resume=args.resume)
@@ -677,9 +679,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             origin = "resumed" if result.worker_id < 0 else (
                 "warm" if result.warm else "cold"
             )
-            print(f"{result.label}: delay={row.delay:g} area={row.area:g} "
-                  f"gates={row.gates} cover={row.cover} "
-                  f"[{origin}] {result.wall_s:.3f}s")
+            if isinstance(row, exp.ComparisonRow):  # a compare job
+                values = (f"tree={row.tree_delay:g} dag={row.dag_delay:g} "
+                          f"area={row.dag_area:g}")
+            else:
+                values = (f"delay={row.delay:g} area={row.area:g} "
+                          f"gates={row.gates} cover={row.cover}")
+            print(f"{result.label}: {values} [{origin}] {result.wall_s:.3f}s")
     hit_total = stats.warm_hits + stats.warm_misses
     hit_rate = stats.warm_hits / hit_total if hit_total else 0.0
     print(f"campaign: {stats.cells_ok} ok, {stats.cells_failed} failed, "

@@ -86,7 +86,7 @@ REGISTRY: Dict[str, EnvVar] = _registry(
         ),
         EnvVar(
             "REPRO_CELL_TIMEOUT", "float", None,
-            "per-cell wall-clock budget (seconds) in the suite runner",
+            "per-job wall-clock budget (seconds) in the batch runner",
         ),
         EnvVar(
             "REPRO_CELL_RETRIES", "int", "2",

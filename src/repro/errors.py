@@ -130,12 +130,12 @@ class RetimingError(ReproError):
 
 
 class RunnerError(ReproError):
-    """The fault-tolerant suite runner could not run at all.
+    """The fault-tolerant batch runner could not run at all.
 
     This covers *setup* failures (bad configuration, unusable library
     spec, workers that cannot initialise, broken journals) — coded
     ``[R###]`` in the message, catalogued in ``docs/CHECKING.md``.
-    Individual cell failures never raise; they come back as structured
+    Individual job failures never raise; they come back as structured
     :class:`repro.perf.parallel.CellFailure` rows instead.
     """
 

@@ -36,7 +36,7 @@ repository has accumulated, and every disagreement becomes a coded
           mapped-BLIF cover) to a fresh ``map_dag`` — per engine.
 
 The battery never raises on a failing circuit; it reports.  Deterministic
-fault injection for tests and CI mirrors the suite runner's
+fault injection for tests and CI mirrors the batch runner's
 ``REPRO_FAULT_INJECT`` hook::
 
     REPRO_FUZZ_INJECT=delay    # mis-report the DAG delay (F001/F004)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.fuzz.corpus import save_entry
 from repro.fuzz.generator import FuzzConfig, config_from_dict, random_dag
@@ -286,8 +286,15 @@ def run_campaign(
         jobs: 1 runs in-process; above 1 fans seeds out over the
             fault-tolerant worker pool.
         shrink_evals: predicate-evaluation budget per minimization.
-        task_timeout: per-seed wall-clock limit in the parallel pool.
+        task_timeout: per-seed wall-clock limit in the parallel pool;
+            with the pool's retry budget and backoff it resolves into
+            one :class:`~repro.perf.parallel.RunPolicy` (argument, then
+            ``REPRO_CELL_*``, then defaults).
         progress: optional line sink for human-readable progress.
+
+    Raises:
+        RunnerConfigError: (``R002``) with ``jobs > 1``, a non-positive
+            ``task_timeout`` or a malformed ``REPRO_CELL_*`` variable.
     """
     say = progress or (lambda line: None)
     oracle = replace(oracle, inject=oracle.resolved_inject())
@@ -295,75 +302,64 @@ def run_campaign(
     started = time.perf_counter()
     remaining = list(seeds)
 
-    def out_of_budget() -> bool:
-        return (
-            budget is not None
-            and time.perf_counter() - started >= budget
-        )
+    def pull() -> Iterator[int]:
+        # The budget gate runs per *pulled* seed: once it expires no new
+        # seed starts, while seeds already started still finish whole.
+        while remaining and not (
+            budget is not None and time.perf_counter() - started >= budget
+        ):
+            yield remaining.pop(0)
 
+    outcomes: Iterable[Tuple[int, object]]
     if jobs <= 1:
         patterns = oracle.build_patterns()
-        while remaining:
-            if out_of_budget():
-                break
-            seed = remaining.pop(0)
-            raw = _run_seed(
+        outcomes = (
+            (seed, _run_seed(
                 seed, generator, oracle, patterns, minimize, shrink_evals
-            )
-            _absorb(raw, generator, oracle, corpus_dir, result)
-            if raw["codes"]:
-                say(f"seed {seed}: {','.join(raw['codes'])}")  # type: ignore[arg-type]
-    else:
-        setup_args = (
-            generator.as_dict(),
-            asdict(oracle),
-            minimize,
-            shrink_evals,
+            ))
+            for seed in pull()
         )
-        # Stream seeds through the warm worker pool: the oracle's
-        # pattern set is built once per worker, and the budget gate
-        # runs per *pulled* seed — when it expires, no new seed is
-        # dispatched while in-flight seeds still finish whole.
-        from repro.perf.parallel import _task_bundle_factory
-        from repro.perf.stream import StreamJob, stream_jobs
+    else:
+        from repro.perf.parallel import RunPolicy, _task_bundle_factory
+        from repro.perf.stream import StreamJob, collect_rows, stream_jobs
 
-        pulled: List[int] = []
-
-        def feed() -> Iterator[StreamJob]:
-            while remaining:
-                if out_of_budget():
-                    return
-                seed = remaining.pop(0)
-                pulled.append(seed)
-                yield StreamJob(label=f"seed{seed}", payload=seed)
-
-        by_index: Dict[int, object] = {}
-        engine = stream_jobs(
-            feed(),
-            _task_bundle_factory,
-            (_campaign_setup, setup_args),
+        policy = RunPolicy.resolve(
             workers=max(1, min(jobs, len(remaining))),
-            eager_bundles=(("task",),),
             cell_timeout=task_timeout,
         )
-        try:
-            for stream_result in engine:
-                by_index[stream_result.index] = stream_result.row
-        finally:
-            engine.close()
-        # Absorb in seed order so failures and corpus entries are
-        # byte-identical to the serial path.
-        for index, seed in enumerate(pulled):
-            row = by_index.get(index)
-            if row is None:  # pragma: no cover - interrupted stream
-                continue
-            if getattr(row, "failed", False):
-                result.worker_failures.append(row)
-                say(f"seed {seed}: worker {row.kind}: {row.error}")
-                continue
+        # Stream seeds through the warm worker pool: the oracle's
+        # pattern set is built once per worker.
+        setup_args = (generator.as_dict(), asdict(oracle), minimize, shrink_evals)
+        pulled: List[int] = []
+        labels: List[str] = []
+
+        def feed() -> Iterator[StreamJob]:
+            for seed in pull():
+                pulled.append(seed)
+                labels.append(f"seed{seed}")
+                yield StreamJob(label=labels[-1], payload=seed)
+
+        rows = collect_rows(
+            stream_jobs(
+                feed(),
+                _task_bundle_factory,
+                (_campaign_setup, setup_args),
+                policy=policy,
+                eager_bundles=(("task",),),
+            ),
+            labels,
+        )
+        outcomes = zip(pulled, rows)
+    # Absorb in seed order so failures and corpus entries are
+    # byte-identical between the serial and the pooled path.
+    for seed, row in outcomes:
+        if isinstance(row, dict):
             _absorb(row, generator, oracle, corpus_dir, result)
             if row["codes"]:
                 say(f"seed {seed}: {','.join(row['codes'])}")
+        else:
+            result.worker_failures.append(row)
+            say(f"seed {seed}: worker {row.kind}: {row.error}")  # type: ignore[attr-defined]
 
     result.skipped = remaining
     result.wall_s = time.perf_counter() - started

@@ -19,9 +19,8 @@ Experiment ids (DESIGN.md section 4):
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
 from repro.bench import circuits as bench_circuits
 from repro.bench.suite import SUITE, TABLE1_NAMES, TABLE23_NAMES
@@ -29,7 +28,7 @@ from repro.core.area_recovery import recover_area
 from repro.core.dag_mapper import map_dag
 from repro.core.match import MatchKind
 from repro.core.tree_mapper import map_tree
-from repro.errors import MappingError
+from repro.errors import MappingError, RunnerConfigError
 from repro.fpga.flowmap import cutmap, flowmap
 from repro.library.builtin import lib2_like, lib44_1, lib44_3
 from repro.library.gate import GateLibrary
@@ -38,6 +37,9 @@ from repro.network.decompose import decompose_network
 from repro.network.simulate import check_equivalent
 from repro.sequential.seqmap import map_sequential
 from repro.timing.sta import analyze
+
+if TYPE_CHECKING:
+    from repro.perf.counters import RunStats
 
 __all__ = [
     "ComparisonRow",
@@ -101,11 +103,12 @@ def tree_vs_dag_cell(
 ) -> ComparisonRow:
     """One (circuit, library) cell of a tree-vs-DAG table: both mappers.
 
-    Self-contained so that :func:`repro.perf.parallel.run_cells_parallel`
-    can dispatch cells to worker processes; each cell is deterministic,
-    so rows are identical however the cells are scheduled.  ``check=True``
-    runs the :mod:`repro.check` certificate on both mapping results
-    (raising :class:`~repro.errors.CertificateError` on any error).
+    Self-contained so that a ``compare`` campaign job
+    (:mod:`repro.perf.campaign`) can run it in a worker process; each
+    cell is deterministic, so rows are identical however the cells are
+    scheduled.  ``check=True`` runs the :mod:`repro.check` certificate
+    on both mapping results (raising
+    :class:`~repro.errors.CertificateError` on any error).
     ``engine`` selects the matcher's candidate engine (``'structural'``
     or ``'cuts'``); rows are identical either way.
     """
@@ -157,62 +160,64 @@ def run_tree_vs_dag(
     retries: Optional[int] = None,
     journal: Optional[str] = None,
     resume: Optional[str] = None,
+    stats: Optional["RunStats"] = None,
 ) -> List[ComparisonRow]:
     """Map every named suite circuit with both mappers on one library.
 
-    ``jobs > 1`` fans the cells out over worker processes via the
-    fault-tolerant runner in :mod:`repro.perf.parallel`; this needs
-    ``library_spec`` (a builtin library name or genlib path) so each
-    worker can rebuild the pattern set, and falls back to the serial
-    path when no spec is available.  Serial and parallel runs produce
-    identical rows.  ``check=True`` certifies every mapping result
-    (serial and parallel alike).
+    ``jobs > 1`` runs the cells as ``compare`` jobs of a mapping
+    campaign (:func:`repro.perf.campaign.run_mapping_campaign`) over
+    worker processes; this needs ``library_spec`` (a builtin library
+    name or genlib path) so each worker can rebuild the pattern set, and
+    falls back to the serial path when no spec is available.  Serial and
+    parallel runs produce identical rows.  ``check=True`` certifies
+    every mapping result (serial and parallel alike).
 
-    The runner options also *force* the supervised path (even at
+    The runner options also *force* the campaign path (even at
     ``jobs=1``, with one isolated worker): ``cell_timeout`` bounds each
     cell's wall-clock, ``retries`` bounds transient-failure retries,
     ``journal`` appends one JSONL record per finished cell, and
     ``resume`` replays a previous journal so only missing or failed
-    cells are re-run.  Under the supervised path a failed cell yields a
+    cells are re-run.  On the campaign path a failed cell yields a
     :class:`repro.perf.parallel.CellFailure` entry in the returned list
-    instead of aborting the run.
+    instead of aborting the run, and ``stats`` (when given) receives the
+    run counters.
     """
     names = list(names or TABLE1_NAMES)
-    supervised = (
-        jobs > 1
-        or cell_timeout is not None
-        or journal is not None
-        or resume is not None
-    )
-    if library_spec is None and (
-        cell_timeout is not None or journal is not None or resume is not None
-    ):
+    forced = cell_timeout is not None or journal is not None or resume is not None
+    if forced and library_spec is None:
         # jobs > 1 without a spec keeps the historical serial fallback,
         # but the fault-tolerance options cannot be silently dropped.
-        from repro.errors import RunnerConfigError
-
         raise RunnerConfigError(
             "[R002] cell_timeout/journal/resume need library_spec so "
             "worker processes can rebuild the pattern set"
         )
-    if supervised and library_spec is not None:
-        from repro.perf.parallel import run_cells_parallel
+    if (jobs > 1 or forced) and library_spec is not None:
+        from repro.perf.campaign import CampaignJob, run_mapping_campaign
 
-        return run_cells_parallel(
-            library_spec,
-            names,
-            kind,
-            max_variants=max_variants,
-            verify=verify,
-            cache=cache,
-            jobs=jobs,
-            check=check,
-            engine=engine,
-            cell_timeout=cell_timeout,
-            retries=retries,
+        cells = [
+            CampaignJob(
+                label=name,
+                source=("suite", name),
+                library=library_spec,
+                mode="compare",
+                kind=kind.value,
+                engine=engine,
+                max_variants=max_variants,
+                verify=verify,
+                check=check,
+                cache=cache,
+            )
+            for name in names
+        ]
+        return run_mapping_campaign(  # type: ignore[return-value]
+            cells,
+            workers=jobs,
             journal_path=journal,
             resume_path=resume,
-        )
+            cell_timeout=cell_timeout,
+            retries=retries,
+            stats=stats,
+        ).rows
     patterns = (
         library
         if isinstance(library, PatternSet)

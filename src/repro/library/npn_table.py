@@ -399,14 +399,11 @@ def _store(path: Path, table: NPNTable) -> None:
         pass
 
 
-def _chain_setup(
-    k: int, depth_cap: int
-) -> Callable[[Tuple[int, PatternGraph]], Tuple[int, Chain]]:
+def _chain_setup(k: int, depth_cap: int) -> Callable[[PatternGraph], Chain]:
     """Worker-side setup for the parallel chain build (picklable)."""
 
-    def run(payload: Tuple[int, PatternGraph]) -> Tuple[int, Chain]:
-        index, pattern = payload
-        return index, pattern_chain(pattern, k=k, depth_cap=depth_cap)
+    def run(pattern: PatternGraph) -> Chain:
+        return pattern_chain(pattern, k=k, depth_cap=depth_cap)
 
     return run
 
@@ -419,28 +416,31 @@ def _build_chains(
             pattern_chain(p, k=k, depth_cap=depth_cap)
             for p in patterns.patterns
         )
-    from repro.perf.parallel import run_tasks_parallel
+    from repro.perf.parallel import RunPolicy, _task_bundle_factory
+    from repro.perf.stream import StreamJob, collect_rows, stream_jobs
 
-    payloads = list(enumerate(patterns.patterns))
     labels = [
-        f"chain:{p.gate.name}:{i}" for i, p in payloads
+        f"chain:{p.gate.name}:{i}" for i, p in enumerate(patterns.patterns)
     ]
-    rows = run_tasks_parallel(
-        _chain_setup, (k, depth_cap), payloads, labels=labels, jobs=jobs
+    rows = collect_rows(
+        stream_jobs(
+            (
+                StreamJob(label=label, payload=pattern)
+                for label, pattern in zip(labels, patterns.patterns)
+            ),
+            _task_bundle_factory,
+            (_chain_setup, (k, depth_cap)),
+            policy=RunPolicy.resolve(workers=min(jobs, len(labels))),
+            eager_bundles=(("task",),),
+        ),
+        labels,
     )
-    chains: List[Optional[Chain]] = [None] * len(payloads)
-    for row in rows:
+    chains: List[Chain] = []
+    for row in rows:  # in pattern order: one row per pattern
         if not isinstance(row, tuple):
-            raise LibraryError(
-                f"parallel NPN-table build failed: {row!r}"
-            )
-        index, chain = row
-        chains[index] = chain
-    if any(chain is None for chain in chains):
-        raise LibraryError(
-            "parallel NPN-table build returned an incomplete chain set"
-        )
-    return tuple(chain for chain in chains if chain is not None)
+            raise LibraryError(f"parallel NPN-table build failed: {row!r}")
+        chains.append(row)
+    return tuple(chains)
 
 
 def _build_cell_classes(

@@ -15,23 +15,23 @@ enforced byte-identical to the seed path by the test suite:
   the binding enumeration runs once per group per subject node, and the
   structural-feasibility memo is keyed by interned subtree shapes shared
   across the whole pattern set.
-* :mod:`repro.perf.parallel` — a fault-tolerant ``multiprocessing``
-  fan-out over (circuit, library, mapper-mode) cells for the experiment
-  harness, exposed as ``--jobs N`` on the CLI.  Worker crashes, per-cell
+* :mod:`repro.perf.parallel` — the worker protocol of the
+  fault-tolerant batch layer and its one :class:`RunPolicy` (workers,
+  per-job timeout, retries, backoff).  Worker crashes, per-job
   timeouts and transient failures become structured
   :class:`~repro.perf.parallel.CellFailure` rows instead of aborting the
-  run, and every finished cell is journalled
-  (:mod:`repro.perf.journal`) so ``--resume`` re-runs only what is
-  missing.
-* :mod:`repro.perf.stream` — the streaming engine under the batch
-  drivers: a long-lived warm worker pool consuming an unbounded job
-  iterator with per-worker cache bundles, size sharding, bounded
-  in-flight backpressure and completion-order result emission.
+  run.
+* :mod:`repro.perf.stream` — the one batch engine: a long-lived warm
+  worker pool consuming an unbounded job iterator with per-worker cache
+  bundles, size sharding, bounded in-flight backpressure and
+  completion-order result emission, plus :func:`collect_rows` for
+  job-order results.
 * :mod:`repro.perf.campaign` — mapping campaigns over the stream
-  engine: heterogeneous (circuit, library, mode, engine) job batches
-  from a JSONL manifest or a seeded ensemble, exposed as
-  ``repro-map campaign`` and benchmarked by
-  ``benchmarks/bench_throughput.py``.
+  engine: heterogeneous (circuit, library, mode, engine) jobs from a
+  JSONL manifest, a seeded ensemble or the paper's tables (``compare``
+  jobs), journalled (:mod:`repro.perf.journal`) so ``--resume`` re-runs
+  only what is missing; exposed as ``repro-map campaign`` and
+  ``repro-map table --jobs N``.
 
 :mod:`repro.perf.counters` carries the instrumentation counters that
 surface in :class:`repro.core.result.MappingResult` and in
@@ -50,9 +50,9 @@ from repro.perf.campaign import (
 )
 from repro.perf.counters import MatchStats, RunStats
 from repro.perf.journal import load_journal
-from repro.perf.parallel import CellFailure, run_cells_parallel
+from repro.perf.parallel import CellFailure, RunPolicy
 from repro.perf.signature import cone_signature
-from repro.perf.stream import StreamJob, StreamResult, stream_jobs
+from repro.perf.stream import StreamJob, StreamResult, collect_rows, stream_jobs
 from repro.perf.trie import PatternTrie
 
 __all__ = [
@@ -61,14 +61,15 @@ __all__ = [
     "CampaignRow",
     "CellFailure",
     "MatchStats",
+    "RunPolicy",
     "RunStats",
     "StreamJob",
     "StreamResult",
+    "collect_rows",
     "cone_signature",
     "load_journal",
     "load_manifest",
     "PatternTrie",
-    "run_cells_parallel",
     "run_mapping_campaign",
     "seed_ensemble",
     "stream_campaign",

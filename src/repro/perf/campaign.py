@@ -16,10 +16,15 @@ workers after a crash — which the equivalence tests assert.  The mapped
 netlist itself travels as a short content digest (``cover``), so a row
 stays cheap to pickle while still certifying *which* cover was chosen.
 
-Journal rows use the existing ``repro-run-journal/1`` format with the
-job's library as the cell ``spec`` and the job label as the cell
-``name``, so a partially journalled campaign resumes with the same
-machinery (and the same byte-identity guarantee) as the suite runner.
+The paper's Tables 1-3 are campaigns too: a ``compare`` job maps one
+suite circuit with both the tree and the DAG mapper and returns the
+table's :class:`~repro.harness.experiment.ComparisonRow`.  Each mode is
+one entry of a mode -> function table run inside the worker.
+
+Every finished job is journalled under :meth:`CampaignJob.key` (all job
+fields but ``weight``), so a partially journalled campaign resumes
+without re-running finished jobs — and never replays a row for a job
+that differs in any field that can change it.
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ import os
 import time
 from dataclasses import dataclass, fields, replace
 from typing import (
+    TYPE_CHECKING,
+    Any,
     Callable,
-    Deque,
     Dict,
     Iterator,
     List,
@@ -42,36 +48,31 @@ from typing import (
 
 from repro.errors import RunnerConfigError
 from repro.perf.counters import RunStats
-from repro.perf.journal import CellKey, JournalWriter, cell_key, load_journal
-from repro.perf.parallel import (
-    DEFAULT_BACKOFF,
-    DEFAULT_RETRIES,
-    _resolve_float,
-    _resolve_int,
-    default_jobs,
-    resolve_library,
-)
-from repro.perf.stream import StreamJob, StreamResult, stream_jobs
+from repro.perf.journal import CellKey, JournalWriter, load_journal
+from repro.perf.parallel import CellFailure, RunPolicy, resolve_library
+from repro.perf.stream import StreamJob, StreamResult, collect_rows, stream_jobs
+
+if TYPE_CHECKING:
+    from repro.network.bnet import BooleanNetwork
 
 __all__ = [
     "CampaignJob",
     "CampaignRow",
     "CampaignOutcome",
     "load_manifest",
+    "row_from_payload",
     "seed_ensemble",
     "stream_campaign",
     "run_mapping_campaign",
 ]
 
-#: Mapper modes a job may name.
-MODES = ("dag", "tree", "recover", "multi", "eco")
-
 #: Relative job-cost multipliers for the engine's size sharding: area
-#: recovery adds a required-time pass over the labeled cover, multimap
-#: runs one full mapping per decomposition style, eco maps the base from
-#: scratch plus the incremental and the from-scratch comparison run.
+#: recovery adds a required-time pass over the labeled cover, a table
+#: comparison runs both mappers, multimap runs one full mapping per
+#: decomposition style, eco maps the base from scratch plus the
+#: incremental and the from-scratch comparison run.
 MODE_WEIGHT: Dict[str, int] = {
-    "dag": 1, "tree": 1, "recover": 2, "multi": 3, "eco": 3,
+    "dag": 1, "tree": 1, "recover": 2, "compare": 2, "multi": 3, "eco": 3,
 }
 
 
@@ -88,10 +89,12 @@ class CampaignJob:
         library: respawnable library spec (builtin name, genlib path or
             ``base@...`` variant spec — see :mod:`repro.library.variants`).
         mode: ``"dag"``, ``"tree"``, ``"recover"`` (area recovery under
-            a delay budget), ``"multi"`` (multi-decomposition stitch) or
+            a delay budget), ``"multi"`` (multi-decomposition stitch),
             ``"eco"`` (derive a seeded edit pair from the circuit,
             remap incrementally, and fail unless the result is
-            byte-identical to a from-scratch remap of the edited net).
+            byte-identical to a from-scratch remap of the edited net)
+            or ``"compare"`` (one Table 1-3 cell: tree and DAG mapper
+            on a suite circuit, returning a ``ComparisonRow``).
         kind: match kind for the DAG mapper.
         engine: matcher candidate engine (``structural``/``cuts``).
         max_variants: pattern variants per gate.
@@ -100,11 +103,15 @@ class CampaignJob:
             ``recover`` this is the target-aware recovered-cover
             certificate; for ``multi`` every per-style run is certified).
         decompose: subject decomposition style (ignored by ``multi``,
-            which maps every style).
+            which maps every style, and by ``compare``, which maps the
+            balanced decomposition like the paper's tables).
         target: ``recover``-mode delay budget as a slack multiplier on
             the optimal delay (``1.0`` = recover area at zero delay
             cost); ignored by the other modes.
-        weight: size hint for the engine's large/small sharding.
+        weight: size hint for the engine's large/small sharding (the
+            only field outside the journal key).
+        cache: run the matcher's caches (results are identical either
+            way; the uncached path is the reference oracle).
     """
 
     label: str
@@ -119,16 +126,18 @@ class CampaignJob:
     decompose: str = "balanced"
     target: float = 1.0
     weight: int = 0
+    cache: bool = True
 
     def bundle(self) -> Tuple[object, ...]:
         """The cache-bundle key this job needs in its worker."""
         return (self.library, int(self.max_variants), self.kind, self.engine)
 
     def key(self) -> CellKey:
-        """The journal identity (``repro-run-journal/1`` cell key)."""
-        return cell_key(
-            self.library, self.kind, self.label, self.max_variants,
-            self.verify, self.check,
+        """The journal identity: every field except ``weight``."""
+        return json.dumps(
+            {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name != "weight"},
+            sort_keys=True,
         )
 
 
@@ -182,10 +191,21 @@ class CampaignRow:
         return out
 
 
-def _payload_to_campaign_row(payload: Dict[str, object]) -> CampaignRow:
-    """Rebuild a journalled row; unknown keys are dropped (fwd compat)."""
-    names = {f.name for f in fields(CampaignRow)}
-    return CampaignRow(**{k: v for k, v in payload.items() if k in names})  # type: ignore[arg-type]
+def row_from_payload(mode: str, payload: Dict[str, object]) -> object:
+    """Rebuild a journalled row of a ``mode`` job from its JSON payload.
+
+    ``compare`` jobs produce a
+    :class:`~repro.harness.experiment.ComparisonRow`, every other mode
+    a :class:`CampaignRow`.  Unknown keys (from a newer version) are
+    dropped rather than rejected, so old code can still resume.
+    """
+    row_type: Any = CampaignRow
+    if mode == "compare":
+        from repro.harness.experiment import ComparisonRow
+
+        row_type = ComparisonRow
+    names = {f.name for f in fields(row_type)}
+    return row_type(**{k: v for k, v in payload.items() if k in names})
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +213,7 @@ def _payload_to_campaign_row(payload: Dict[str, object]) -> CampaignRow:
 # ----------------------------------------------------------------------
 
 
-def _build_network(job: CampaignJob) -> object:
+def _build_network(job: CampaignJob) -> "BooleanNetwork":
     src = job.source
     if src[0] == "suite":
         from repro.bench.suite import SUITE
@@ -211,106 +231,20 @@ def _build_network(job: CampaignJob) -> object:
     raise RunnerConfigError(f"[R002] unknown campaign source {src!r}")
 
 
-def _run_campaign_job(job: CampaignJob, patterns: object) -> CampaignRow:
-    from repro.core.dag_mapper import map_dag
-    from repro.core.match import MatchKind
-    from repro.core.tree_mapper import map_tree
-    from repro.network.decompose import decompose_network
+def _campaign_row(
+    job: CampaignJob,
+    net: Any,
+    netlist: Any,
+    delay: float,
+    area: float,
+    cpu_s: float,
+    subject_gates: int,
+    n_matches: int,
+    target: float = 0.0,
+) -> CampaignRow:
+    """Verify (when asked), digest the cover and assemble the row."""
     from repro.network.mapped_io import dumps_mapped_blif
 
-    net = _build_network(job)
-    kind = MatchKind(job.kind)
-    target = 0.0
-    if job.mode == "multi":
-        from repro.core.multimap import map_multi_decomposition
-
-        multi = map_multi_decomposition(
-            net, patterns, kind=kind, engine=job.engine,  # type: ignore[arg-type]
-        )
-        if job.check:
-            from repro.check.certificate import attach_certificate
-
-            for style_result in multi.per_style.values():
-                attach_certificate(style_result)
-        netlist = multi.netlist
-        delay, area, cpu_s = multi.delay, multi.area, multi.cpu_seconds
-        subject_gates = max(
-            r.labels.subject.n_gates for r in multi.per_style.values()
-        )
-        n_matches = sum(r.n_matches for r in multi.per_style.values())
-    elif job.mode == "eco":
-        from repro.eco import eco_remap
-        from repro.errors import MappingError
-        from repro.fuzz.generator import derive_edit_seed, random_edit_script
-
-        subject = decompose_network(net, style=job.decompose)
-        base = map_dag(
-            subject, patterns, kind=kind, cache=True, engine=job.engine,
-        )
-        script = random_edit_script(net, seed=derive_edit_seed(net), n_edits=2)  # type: ignore[arg-type]
-        edited = script.apply(net)  # type: ignore[arg-type]
-        eco = eco_remap(
-            base, edited, patterns, decompose=job.decompose, check=job.check,  # type: ignore[arg-type]
-        )
-        scratch = map_dag(
-            decompose_network(edited, style=job.decompose), patterns,
-            kind=kind, cache=True, engine=job.engine,
-        )
-        if (
-            eco.result.delay != scratch.delay
-            or eco.result.area != scratch.area
-            or dumps_mapped_blif(eco.result.netlist)
-            != dumps_mapped_blif(scratch.netlist)
-        ):
-            raise MappingError(
-                f"[M007] eco campaign divergence on {edited.name!r}: "
-                f"incremental (delay {eco.result.delay!r}, area "
-                f"{eco.result.area!r}) != from-scratch (delay "
-                f"{scratch.delay!r}, area {scratch.area!r}), or covers "
-                f"differ"
-            )
-        net = edited  # the row (and verify) describe the edited circuit
-        netlist = eco.result.netlist
-        delay, area = eco.result.delay, eco.result.area
-        cpu_s = eco.cpu_seconds
-        subject_gates = eco.result.labels.subject.n_gates
-        n_matches = eco.result.n_matches
-    else:
-        subject = decompose_network(net, style=job.decompose)
-        if job.mode == "tree":
-            result = map_tree(
-                subject, patterns, cache=True, check=job.check,
-                engine=job.engine,
-            )
-        else:
-            result = map_dag(
-                subject, patterns, kind=kind, cache=True,
-                check=job.check and job.mode == "dag", engine=job.engine,
-            )
-        netlist = result.netlist
-        delay, area, cpu_s = result.delay, result.area, result.cpu_seconds
-        subject_gates = subject.n_gates
-        n_matches = result.n_matches
-        if job.mode == "recover":
-            from dataclasses import replace as dc_replace
-
-            from repro.core.area_recovery import recover_area_result
-
-            target = result.delay * max(1.0, float(job.target))
-            recovery = recover_area_result(
-                result.labels, patterns, kind=kind, target=target,  # type: ignore[arg-type]
-            )
-            netlist = recovery.netlist
-            delay, area = recovery.delay, recovery.area
-            cpu_s += recovery.cpu_seconds
-            if job.check:
-                from repro.check.certificate import attach_certificate
-
-                attach_certificate(
-                    dc_replace(result, netlist=netlist, delay=delay, area=area),
-                    selection=recovery.selection,
-                    target=target,
-                )
     verified = False
     if job.verify:
         from repro.network.simulate import check_equivalent
@@ -337,6 +271,163 @@ def _run_campaign_job(job: CampaignJob, patterns: object) -> CampaignRow:
         cpu_s=cpu_s,
         target=target,
     )
+
+
+def _dag_map(job: CampaignJob, patterns: Any, net: Any, check: bool = False) -> Any:
+    """DAG-map ``net`` under the job's decomposition and matcher options."""
+    from repro.core.dag_mapper import map_dag
+    from repro.core.match import MatchKind
+    from repro.network.decompose import decompose_network
+
+    subject = decompose_network(net, style=job.decompose)
+    return map_dag(
+        subject, patterns, kind=MatchKind(job.kind), cache=job.cache,
+        check=check, engine=job.engine,
+    )
+
+
+def _map_dag(job: CampaignJob, patterns: Any) -> CampaignRow:
+    net = _build_network(job)
+    result = _dag_map(job, patterns, net, check=job.check)
+    return _campaign_row(
+        job, net, result.netlist, result.delay, result.area,
+        result.cpu_seconds, result.labels.subject.n_gates, result.n_matches,
+    )
+
+
+def _map_tree(job: CampaignJob, patterns: Any) -> CampaignRow:
+    from repro.core.tree_mapper import map_tree
+    from repro.network.decompose import decompose_network
+
+    net = _build_network(job)
+    subject = decompose_network(net, style=job.decompose)
+    result = map_tree(
+        subject, patterns, cache=job.cache, check=job.check,
+        engine=job.engine,
+    )
+    return _campaign_row(
+        job, net, result.netlist, result.delay, result.area,
+        result.cpu_seconds, subject.n_gates, result.n_matches,
+    )
+
+
+def _map_recover(job: CampaignJob, patterns: Any) -> CampaignRow:
+    from dataclasses import replace as dc_replace
+
+    from repro.core.area_recovery import recover_area_result
+    from repro.core.match import MatchKind
+
+    net = _build_network(job)
+    result = _dag_map(job, patterns, net)
+    target = result.delay * max(1.0, float(job.target))
+    recovery = recover_area_result(
+        result.labels, patterns, kind=MatchKind(job.kind), target=target,
+    )
+    if job.check:
+        from repro.check.certificate import attach_certificate
+
+        attach_certificate(
+            dc_replace(
+                result, netlist=recovery.netlist, delay=recovery.delay,
+                area=recovery.area,
+            ),
+            selection=recovery.selection,
+            target=target,
+        )
+    return _campaign_row(
+        job, net, recovery.netlist, recovery.delay, recovery.area,
+        result.cpu_seconds + recovery.cpu_seconds,
+        result.labels.subject.n_gates, result.n_matches, target=target,
+    )
+
+
+def _map_multi(job: CampaignJob, patterns: Any) -> CampaignRow:
+    from repro.core.match import MatchKind
+    from repro.core.multimap import map_multi_decomposition
+
+    net = _build_network(job)
+    multi = map_multi_decomposition(
+        net, patterns, kind=MatchKind(job.kind), engine=job.engine,
+    )
+    if job.check:
+        from repro.check.certificate import attach_certificate
+
+        for style_result in multi.per_style.values():
+            attach_certificate(style_result)
+    return _campaign_row(
+        job, net, multi.netlist, multi.delay, multi.area, multi.cpu_seconds,
+        max(r.labels.subject.n_gates for r in multi.per_style.values()),
+        sum(r.n_matches for r in multi.per_style.values()),
+    )
+
+
+def _map_eco(job: CampaignJob, patterns: Any) -> CampaignRow:
+    from repro.eco import eco_remap
+    from repro.errors import MappingError
+    from repro.fuzz.generator import derive_edit_seed, random_edit_script
+    from repro.network.mapped_io import dumps_mapped_blif
+
+    net = _build_network(job)
+    base = _dag_map(job, patterns, net)
+    script = random_edit_script(net, seed=derive_edit_seed(net), n_edits=2)
+    edited = script.apply(net)
+    eco = eco_remap(
+        base, edited, patterns, decompose=job.decompose, check=job.check,
+    )
+    scratch = _dag_map(job, patterns, edited)
+    if (
+        eco.result.delay != scratch.delay
+        or eco.result.area != scratch.area
+        or dumps_mapped_blif(eco.result.netlist)
+        != dumps_mapped_blif(scratch.netlist)
+    ):
+        raise MappingError(
+            f"[M007] eco campaign divergence on {edited.name!r}: "
+            f"incremental (delay {eco.result.delay!r}, area "
+            f"{eco.result.area!r}) != from-scratch (delay "
+            f"{scratch.delay!r}, area {scratch.area!r}), or covers "
+            f"differ"
+        )
+    # The row (and verify) describe the edited circuit.
+    return _campaign_row(
+        job, edited, eco.result.netlist, eco.result.delay, eco.result.area,
+        eco.cpu_seconds, eco.result.labels.subject.n_gates,
+        eco.result.n_matches,
+    )
+
+
+def _map_compare(job: CampaignJob, patterns: Any) -> object:
+    from repro.core.match import MatchKind
+    from repro.harness.experiment import tree_vs_dag_cell
+
+    if job.source[0] != "suite":
+        raise RunnerConfigError(
+            f"[R002] compare job {job.label!r} needs a suite circuit "
+            f"source, got {job.source[0]!r}"
+        )
+    return tree_vs_dag_cell(
+        job.source[1], patterns, kind=MatchKind(job.kind),
+        verify=job.verify, cache=job.cache, check=job.check,
+        engine=job.engine,
+    )
+
+
+#: Mode -> worker-side runner; the keys are the modes a job may name.
+_MODE_RUNNERS: Dict[str, Callable[[CampaignJob, Any], object]] = {
+    "dag": _map_dag,
+    "tree": _map_tree,
+    "recover": _map_recover,
+    "multi": _map_multi,
+    "eco": _map_eco,
+    "compare": _map_compare,
+}
+
+#: Mapper modes a job may name.
+MODES: Tuple[str, ...] = tuple(_MODE_RUNNERS)
+
+
+def _run_campaign_job(job: CampaignJob, patterns: Any) -> object:
+    return _MODE_RUNNERS[job.mode](job, patterns)
 
 
 def _mapping_bundle_factory() -> Callable[[tuple], Callable[[object], object]]:
@@ -371,13 +462,6 @@ def _mapping_bundle_factory() -> Callable[[tuple], Callable[[object], object]]:
 # ----------------------------------------------------------------------
 # Job construction
 # ----------------------------------------------------------------------
-
-#: FuzzConfig knobs a manifest/ensemble entry may set for seed jobs.
-_GENERATOR_KNOBS = (
-    "n_inputs", "n_nodes", "n_outputs", "reconvergence", "fanout_skew",
-    "depth_bias",
-)
-
 
 def _generator_json(**knobs: object) -> str:
     from repro.fuzz.generator import FuzzConfig
@@ -570,41 +654,28 @@ def stream_campaign(
     worker process (``recycle_after=1``) and rebuilds its cache bundle
     — per-job process dispatch, the thing the warm pool is benchmarked
     against.  ``resume_path`` replays jobs journalled ``ok`` under the
-    same configuration without re-running them (``resumed`` results
-    carry ``attempts=0``, ``worker_id=-1``).
+    same :meth:`CampaignJob.key` without re-running them (``resumed``
+    results carry ``attempts=0``, ``worker_id=-1``); new records append
+    to the resumed journal unless ``journal_path`` names another file.
 
-    Result ``index`` values refer to positions in ``jobs``.  Timeout,
-    retry and backoff fall back to the same ``REPRO_CELL_*`` env knobs
-    as the suite runner.
+    Result ``index`` values refer to positions in ``jobs``.
+    ``workers``, ``cell_timeout``, ``retries`` and ``backoff`` resolve
+    into one :class:`~repro.perf.parallel.RunPolicy` (argument, then the
+    ``REPRO_CELL_*`` variables, then defaults); the pool never exceeds
+    the job count.
 
     Raises:
         UnknownLibrarySpecError: a job names a bad library (``R001``),
             before any worker is spawned.
-        RunnerConfigError: bad knob values (``R002``).
+        RunnerConfigError: bad policy values or job modes (``R002``).
         WorkerInitError: a worker failed to initialise (``R003``).
-        JournalError: unreadable ``resume_path`` (``R004``).
+        JournalError: unreadable or pre-``/2`` ``resume_path``
+            (``R004``).
     """
     jobs = list(jobs)
     run_stats = stats if stats is not None else RunStats()
-    if workers is not None and int(workers) < 1:
-        raise RunnerConfigError(
-            f"[R002] workers must be >= 1, got {workers!r}"
-        )
-    cell_timeout = _resolve_float(cell_timeout, "REPRO_CELL_TIMEOUT", None)
-    if cell_timeout is not None and cell_timeout <= 0:
-        raise RunnerConfigError(
-            f"[R002] cell timeout must be positive, got {cell_timeout!r}"
-        )
-    retries_v = _resolve_int(retries, "REPRO_CELL_RETRIES", DEFAULT_RETRIES)
-    if retries_v < 0:
-        raise RunnerConfigError(
-            f"[R002] retries must be >= 0, got {retries_v!r}"
-        )
-    backoff_v = _resolve_float(backoff, "REPRO_CELL_BACKOFF", DEFAULT_BACKOFF)
-    if backoff_v is None or backoff_v < 0:
-        raise RunnerConfigError(
-            f"[R002] backoff must be >= 0, got {backoff_v!r}"
-        )
+    policy = RunPolicy.resolve(workers, cell_timeout, retries, backoff)
+    policy = replace(policy, workers=min(policy.workers, len(jobs) or 1))
     for mode in sorted({job.mode for job in jobs}):
         if mode not in MODES:
             raise RunnerConfigError(
@@ -621,54 +692,41 @@ def stream_campaign(
         journal_path = resume_path
     writer = JournalWriter(journal_path) if journal_path else None
 
-    workers_n = default_jobs() if workers is None else int(workers)
-    workers_n = max(1, min(workers_n, len(jobs) or 1))
+    resumed: List[StreamResult] = []
+    pending: List[int] = []
+    for i, job in enumerate(jobs):
+        payload = state.completed.get(job.key()) if state is not None else None
+        if payload is None:
+            pending.append(i)
+            continue
+        resumed.append(StreamResult(
+            index=i,
+            label=job.label,
+            row=row_from_payload(job.mode, payload),
+            failed=False,
+            warm=True,
+            worker_id=-1,
+            attempts=0,
+            wall_s=0.0,
+        ))
+    run_stats.cells_resumed += len(resumed)
     if writer is not None:
-        writer.start(
-            "campaign", "stream", [job.label for job in jobs], workers_n,
-            cell_timeout, retries_v,
-            resumed_cells=0,
-        )
-
-    from collections import deque
-
-    resumed: Deque[StreamResult] = deque()
-    index_map: List[int] = []
-
-    def feed() -> Iterator[StreamJob]:
-        for i, job in enumerate(jobs):
-            if state is not None:
-                entry = state.completed.get(job.key())
-                if entry is not None:
-                    run_stats.cells_resumed += 1
-                    resumed.append(StreamResult(
-                        index=i,
-                        label=job.label,
-                        row=_payload_to_campaign_row(entry[0]),
-                        failed=False,
-                        warm=True,
-                        worker_id=-1,
-                        attempts=0,
-                        wall_s=0.0,
-                    ))
-                    continue
-            index_map.append(i)
-            yield StreamJob(
-                label=job.label,
-                payload=job,
-                bundle=job.bundle(),
-                weight=job.weight,
-                key=job.key(),
-            )
+        writer.start([job.label for job in jobs], policy, len(resumed))
 
     engine = stream_jobs(
-        feed(),
+        (
+            StreamJob(
+                label=jobs[i].label,
+                payload=jobs[i],
+                bundle=jobs[i].bundle(),
+                weight=jobs[i].weight,
+                key=jobs[i].key(),
+            )
+            for i in pending
+        ),
         _mapping_bundle_factory,
         (),
-        workers=workers_n,
-        cell_timeout=cell_timeout,
-        retries=retries_v,
-        backoff=backoff_v,
+        policy=policy,
         max_inflight=max_inflight,
         large_weight=large_weight,
         recycle_after=None if warm else 1,
@@ -676,16 +734,13 @@ def stream_campaign(
         stats=run_stats,
     )
     try:
+        yield from resumed
         for result in engine:
-            while resumed:
-                yield resumed.popleft()
             if result.failed:
                 run_stats.cells_failed += 1
             else:
                 run_stats.cells_ok += 1
-            yield replace(result, index=index_map[result.index])
-        while resumed:
-            yield resumed.popleft()
+            yield replace(result, index=pending[result.index])
     finally:
         engine.close()
         run_stats.wall_s = time.perf_counter() - started
@@ -704,20 +759,22 @@ def run_mapping_campaign(
     backoff: Optional[float] = None,
     large_weight: Optional[int] = None,
     max_inflight: Optional[int] = None,
-    on_result: Optional[Callable[[StreamResult], None]] = None,
+    stats: Optional[RunStats] = None,
 ) -> CampaignOutcome:
     """Run a campaign to completion; rows come back in job order.
 
     A convenience wrapper over :func:`stream_campaign` for finite job
-    lists: every job yields exactly one row — a :class:`CampaignRow` or
-    a :class:`~repro.perf.parallel.CellFailure` — at its input position.
-    ``on_result`` observes results in completion order as they land
-    (progress reporting).
+    lists: every job yields exactly one row at its input position — a
+    :class:`CampaignRow` (a ``ComparisonRow`` for ``compare`` jobs) or
+    a :class:`~repro.perf.parallel.CellFailure` (carrying the circuit's
+    ISCAS tag for ``compare`` jobs), including an ``interrupted`` one
+    for every job a ``KeyboardInterrupt`` stopped before it finished.
+    ``stats`` accumulates the run counters (a fresh :class:`RunStats`
+    by default); the outcome carries them.
     """
     jobs = list(jobs)
-    stats = RunStats()
-    by_index: Dict[int, object] = {}
-    for result in stream_campaign(
+    run_stats = stats if stats is not None else RunStats()
+    stream = stream_campaign(
         jobs,
         workers=workers,
         warm=warm,
@@ -728,15 +785,13 @@ def run_mapping_campaign(
         backoff=backoff,
         large_weight=large_weight,
         max_inflight=max_inflight,
-        stats=stats,
-    ):
-        by_index[result.index] = result.row
-        if on_result is not None:
-            on_result(result)
-    rows = [by_index[i] for i in range(len(jobs)) if i in by_index]
-    if len(rows) != len(jobs):  # pragma: no cover - interrupted stream
-        rows = [
-            by_index.get(i) for i in range(len(jobs))
-        ]
-        rows = [row for row in rows if row is not None]
-    return CampaignOutcome(rows=rows, stats=stats)
+        stats=run_stats,
+    )
+    rows = collect_rows(stream, [job.label for job in jobs])
+    for job, row in zip(jobs, rows):
+        if job.mode == "compare" and isinstance(row, CellFailure):
+            from repro.bench.suite import ALL_CIRCUITS
+
+            entry = ALL_CIRCUITS.get(job.source[1])
+            row.iscas = entry.iscas if entry is not None else ""
+    return CampaignOutcome(rows=rows, stats=run_stats)

@@ -203,11 +203,11 @@ class SimStats:
 
 @dataclass
 class RunStats:
-    """Supervisor counters for one fault-tolerant suite run.
+    """Supervisor counters for one fault-tolerant batch run.
 
-    Filled by :func:`repro.perf.parallel.run_cells_parallel`, exposed as
-    ``repro.perf.parallel.LAST_RUN_STATS``, written into the journal's
-    ``end`` record and into ``BENCH_mapper.json``.
+    Filled by :func:`repro.perf.stream.stream_jobs` and the campaign
+    drivers, which take the instance explicitly (``stats=``); written
+    into the journal's ``end`` record and into ``BENCH_mapper.json``.
 
     Attributes:
         cells_total: cells requested (including resumed ones).

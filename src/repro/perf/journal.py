@@ -1,29 +1,31 @@
-"""JSONL run journal for the fault-tolerant suite runner.
+"""JSONL run journal for campaign streams (tables included).
 
-Every finished cell of a :func:`repro.perf.parallel.run_cells_parallel`
-run is appended as one JSON line the moment it completes, so a crashed,
-interrupted or killed run loses at most the cells that were in flight.
-``--resume <journal>`` replays the journal: cells recorded as ``ok``
-under the *same cell configuration* (library spec, match kind,
-``max_variants``, ``verify``, ``check``) are reconstructed without
-re-running, failed or missing cells run again, and the merged result is
-identical to an uninterrupted run because row payloads round-trip
-through JSON exactly (Python serialises floats via ``repr``, which is
-lossless).
+Every finished job of a :func:`repro.perf.campaign.stream_campaign` run
+is appended as one JSON line the moment it completes, so a crashed,
+interrupted or killed run loses at most the jobs that were in flight.
+``--resume <journal>`` replays the journal: jobs recorded as ``ok``
+under the *same job key* are reconstructed without re-running, failed
+or missing jobs run again, and the merged result is identical to an
+uninterrupted run because row payloads round-trip through JSON exactly
+(Python serialises floats via ``repr``, which is lossless).
 
-Record shapes (schema ``repro-run-journal/1``)::
+The job key (:meth:`repro.perf.campaign.CampaignJob.key`) is the
+canonical JSON of every job field except the scheduling-only
+``weight``, so a row is never replayed for a job that differs in mode,
+engine, target, source or any other field that can change it.
 
-    {"schema": ..., "event": "start", "spec": ..., "kind": ...,
-     "names": [...], "jobs": N, "cell_timeout": ..., "retries": ...}
-    {"event": "cell", "status": "ok", "name": ..., "spec": ...,
-     "kind": ..., "max_variants": ..., "verify": ..., "check": ...,
-     "attempts": N, "wall_s": ..., "row": {...ComparisonRow fields...}}
+Record shapes (schema ``repro-run-journal/2``)::
+
+    {"schema": ..., "event": "start", "names": [...], "jobs": N,
+     "cell_timeout": ..., "retries": ..., "resumed_cells": N}
+    {"event": "cell", "status": "ok", "name": ..., "job": {...},
+     "attempts": N, "wall_s": ..., "row": {...row fields...}}
     {"event": "cell", "status": "failed", ..., "failure": {...}}
     {"event": "end", "stats": {...RunStats fields...}}
 
-The ``cache`` flag is deliberately *not* part of the cell key: the
-matching caches are enforced byte-identical to the uncached path
-(``tests/test_perf_equivalence.py``), so rows are interchangeable.
+Journals of schema ``repro-run-journal/1`` keyed jobs by library,
+kind, label and three flags only — a resume could replay a row of
+another mode or target — so they are refused with ``R004``.
 """
 
 from __future__ import annotations
@@ -32,59 +34,26 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.errors import JournalError
 
 if TYPE_CHECKING:
-    from repro.harness.experiment import ComparisonRow
+    from repro.perf.parallel import RunPolicy
 
 __all__ = [
     "JOURNAL_SCHEMA",
     "CellKey",
     "JournalState",
     "JournalWriter",
-    "cell_key",
     "load_journal",
-    "row_to_payload",
-    "payload_to_row",
 ]
 
-JOURNAL_SCHEMA = "repro-run-journal/1"
+JOURNAL_SCHEMA = "repro-run-journal/2"
 
-#: (spec, kind, name, max_variants, verify, check) — everything that can
-#: change a row's payload.  See the module docstring for why ``cache``
-#: is excluded.
-CellKey = Tuple[str, str, str, int, bool, bool]
-
-
-def cell_key(
-    spec: str,
-    kind: str,
-    name: str,
-    max_variants: int,
-    verify: bool,
-    check: bool,
-) -> CellKey:
-    """The identity under which a journalled cell may be reused."""
-    return (spec, kind, name, int(max_variants), bool(verify), bool(check))
-
-
-def row_to_payload(row: "ComparisonRow") -> Dict[str, object]:
-    """Flatten a :class:`~repro.harness.experiment.ComparisonRow` to JSON."""
-    return dataclasses.asdict(row)
-
-
-def payload_to_row(payload: Dict[str, object]) -> "ComparisonRow":
-    """Rebuild a :class:`~repro.harness.experiment.ComparisonRow`.
-
-    Unknown keys (from a journal written by a newer version) are
-    dropped rather than rejected, so old code can still resume.
-    """
-    from repro.harness.experiment import ComparisonRow
-
-    names = {f.name for f in dataclasses.fields(ComparisonRow)}
-    return ComparisonRow(**{k: v for k, v in payload.items() if k in names})
+#: A job key: the canonical (sorted-keys) JSON of the job's identity
+#: fields, as built by :meth:`repro.perf.campaign.CampaignJob.key`.
+CellKey = str
 
 
 @dataclass
@@ -92,21 +61,19 @@ class JournalState:
     """Everything :func:`load_journal` recovered from a journal file."""
 
     path: str
-    #: cell key -> ("ok" row payload, attempts) for the *last* ok record.
-    completed: Dict[CellKey, Tuple[Dict[str, object], int]] = field(
-        default_factory=dict
-    )
-    #: cell key -> failure payload for keys whose last record failed.
-    failures: Dict[CellKey, Dict[str, object]] = field(default_factory=dict)
+    #: job key -> row payload of the *last* ok record for that key.
+    completed: Dict[CellKey, Dict[str, object]] = field(default_factory=dict)
     #: every parsed record, in file order (for reporting/tests).
     records: List[Dict[str, object]] = field(default_factory=list)
 
-    def completed_row(self, key: CellKey) -> Optional["ComparisonRow"]:
+    def completed_row(self, key: CellKey) -> Optional[object]:
         """The reconstructed row for ``key``, or None."""
         entry = self.completed.get(key)
         if entry is None:
             return None
-        return payload_to_row(entry[0])
+        from repro.perf.campaign import row_from_payload
+
+        return row_from_payload(json.loads(key)["mode"], entry)
 
 
 def load_journal(path: str) -> JournalState:
@@ -139,36 +106,28 @@ def load_journal(path: str) -> JournalState:
         if schema is not None and schema != JOURNAL_SCHEMA:
             raise JournalError(
                 f"[R004] run journal {path}:{lineno}: schema {schema!r} "
-                f"is not {JOURNAL_SCHEMA!r}"
+                f"is not {JOURNAL_SCHEMA!r}; older journals keyed jobs "
+                "by fewer fields and cannot be resumed safely, so re-run "
+                "without --resume"
             )
         state.records.append(record)
         if record.get("event") != "cell":
             continue
-        try:
-            key = cell_key(
-                record["spec"],
-                record["kind"],
-                record["name"],
-                record["max_variants"],
-                record["verify"],
-                record["check"],
-            )
-        except KeyError as exc:
+        job = record.get("job")
+        if not isinstance(job, dict):
             raise JournalError(
                 f"[R004] run journal {path}:{lineno}: cell record is "
-                f"missing the {exc.args[0]!r} field"
+                "missing the 'job' field"
             )
-        if record.get("status") == "ok":
-            row = record.get("row")
-            if not isinstance(row, dict):
-                raise JournalError(
-                    f"[R004] run journal {path}:{lineno}: ok record "
-                    "carries no row payload"
-                )
-            state.completed[key] = (row, int(record.get("attempts", 1)))
-            state.failures.pop(key, None)
-        else:
-            state.failures[key] = record.get("failure") or {}
+        if record.get("status") != "ok":
+            continue  # failed jobs run again on resume
+        row = record.get("row")
+        if not isinstance(row, dict):
+            raise JournalError(
+                f"[R004] run journal {path}:{lineno}: ok record "
+                "carries no row payload"
+            )
+        state.completed[json.dumps(job, sort_keys=True)] = row
     return state
 
 
@@ -191,74 +150,35 @@ class JournalWriter:
             os.fsync(handle.fileno())
 
     def start(
-        self,
-        spec: str,
-        kind: str,
-        names: List[str],
-        jobs: int,
-        cell_timeout: Optional[float],
-        retries: int,
-        resumed_cells: int = 0,
+        self, names: List[str], policy: "RunPolicy", resumed_cells: int
     ) -> None:
         self._append(
             {
                 "schema": JOURNAL_SCHEMA,
                 "event": "start",
-                "spec": spec,
-                "kind": kind,
                 "names": list(names),
-                "jobs": jobs,
-                "cell_timeout": cell_timeout,
-                "retries": retries,
+                "jobs": policy.workers,
+                "cell_timeout": policy.cell_timeout,
+                "retries": policy.retries,
                 "resumed_cells": resumed_cells,
             }
         )
 
-    def cell_ok(
-        self,
-        key: CellKey,
-        row: "ComparisonRow",
-        attempts: int,
-        wall_s: float,
-    ) -> None:
-        spec, kind, name, max_variants, verify, check = key
+    def cell(self, key: CellKey, row: Any, attempts: int, wall_s: float) -> None:
+        """Record one finished job: a result row or a ``CellFailure``."""
+        job = json.loads(key)
+        failed = getattr(row, "failed", False)
         self._append(
             {
                 "event": "cell",
-                "status": "ok",
-                "name": name,
-                "spec": spec,
-                "kind": kind,
-                "max_variants": max_variants,
-                "verify": verify,
-                "check": check,
+                "status": "failed" if failed else "ok",
+                "name": job["label"],
+                "job": job,
                 "attempts": attempts,
                 "wall_s": round(wall_s, 6),
-                "row": row_to_payload(row),
-            }
-        )
-
-    def cell_failed(
-        self,
-        key: CellKey,
-        failure: Dict[str, object],
-        attempts: int,
-        wall_s: float,
-    ) -> None:
-        spec, kind, name, max_variants, verify, check = key
-        self._append(
-            {
-                "event": "cell",
-                "status": "failed",
-                "name": name,
-                "spec": spec,
-                "kind": kind,
-                "max_variants": max_variants,
-                "verify": verify,
-                "check": check,
-                "attempts": attempts,
-                "wall_s": round(wall_s, 6),
-                "failure": failure,
+                "failure" if failed else "row": (
+                    row.as_dict() if failed else dataclasses.asdict(row)
+                ),
             }
         )
 

@@ -1,38 +1,25 @@
-"""Fault-tolerant parallel suite runner for the experiment harness.
+"""Worker protocol and run policy of the fault-tolerant batch layer.
 
-One *cell* is a (circuit, library, mapper-mode) unit of the paper's
-table experiments — both mappers on one circuit under one library.
-Workers are seeded once per process with the pattern set (built from a
-respawnable library *spec*, i.e. a builtin name or a genlib path) so the
-per-cell payload is just the circuit name and the returned row is a
-plain dataclass of floats — cheap to pickle, deterministic to merge.
+Every batch in the package — the paper's table cells, mapping
+campaigns, the fuzzing campaign, the parallel NPN-table build — runs
+through the supervised warm-worker engine of :mod:`repro.perf.stream`.
+This module holds what that engine and its drivers share:
 
-The seed used a bare ``pool.map``, which has exactly one failure mode:
-total.  A segfaulting worker, a hung cell, a ``MemoryError`` or an
-unpicklable exception aborted the entire suite and discarded every
-already-completed row.  This module replaces it with a supervised
-dispatch:
-
-* task-id-tagged cells go to single-cell worker processes and results
-  are merged back into request order, so scheduling never changes the
-  table;
-* any worker failure — an in-cell exception (stringified in the worker,
-  so unpicklable exceptions cannot poison the result channel), a dead
-  worker process, or a cell that exceeds the per-cell timeout — becomes
-  a structured :class:`CellFailure` row carrying the error text, the
-  attempt count and the wall-clock, while every other cell keeps
-  running;
-* failed attempts are retried with exponential backoff up to
-  ``retries`` times (timeouts are not retried: a hang is assumed
-  deterministic — raise the timeout instead);
-* timed-out and crashed workers are replaced so the pool never shrinks
-  while queued work remains;
-* ``KeyboardInterrupt`` shuts down gracefully and still returns the
-  completed rows (unfinished cells come back as ``interrupted``
-  failures);
-* every finished cell is appended to a JSONL run journal
-  (:mod:`repro.perf.journal`) so ``--resume`` re-runs only what is
-  missing or failed.
+* :class:`RunPolicy`, the one frozen description of *how* a batch runs
+  (pool size, per-job timeout, retry budget, retry backoff), resolved
+  once — argument, then the :mod:`repro.env` registry, then defaults —
+  and validated once with the coded ``R002`` error;
+* the worker side of the protocol (:func:`_worker_main`,
+  :func:`_init_worker`, :func:`_run_task`): a worker process installs a
+  *bundle factory* once, builds one runner per distinct cache-bundle
+  key, and answers single tasks over a private result pipe;
+* :class:`CellFailure`, the structured row standing in for any job
+  that could not produce one — an in-job exception (stringified in the
+  worker, so unpicklable exceptions cannot poison the result channel),
+  a dead worker process, a job over the per-job timeout, or a run
+  stopped by ``KeyboardInterrupt``;
+* :func:`resolve_library` (respawnable library specs) and
+  :func:`default_jobs`.
 
 Deterministic fault injection for tests and CI::
 
@@ -41,19 +28,7 @@ Deterministic fault injection for tests and CI::
 ``crash`` hard-exits the worker (``os._exit``), ``hang`` sleeps forever
 (pair it with a cell timeout), ``flaky`` raises on the first attempt
 only — exercising crash isolation, timeout replacement and bounded
-retry respectively.
-
-The supervision loop itself lives in :mod:`repro.perf.stream` (the
-streaming warm-worker campaign engine); this module keeps the worker
-protocol (:func:`_worker_main`, fault injection, bundle factories) and
-the two batch drivers.  Workers hold *cache bundles* — one built
-runner per distinct configuration key — so a long-lived worker reuses
-its pattern trie / NPN table / memos across every job that shares the
-key.  :func:`run_tasks_parallel` exposes the same crash-isolated,
-retrying, timeout-enforcing pool for arbitrary picklable payloads (the
-fuzzing campaign of :mod:`repro.fuzz.run` fans out over it with
-``--jobs``), and :mod:`repro.perf.campaign` streams heterogeneous
-mapping jobs over the same workers.
+retry respectively.  Targets are job labels.
 """
 
 from __future__ import annotations
@@ -62,8 +37,8 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro import env
 from repro.errors import (
@@ -71,22 +46,16 @@ from repro.errors import (
     RunnerConfigError,
     UnknownLibrarySpecError,
 )
-from repro.perf.counters import RunStats
-from repro.perf.journal import CellKey, JournalWriter, cell_key, load_journal
 
 if TYPE_CHECKING:
-    from repro.core.match import MatchKind
-    from repro.harness.experiment import ComparisonRow
     from repro.library.gate import GateLibrary
 
 __all__ = [
     "BUILTIN_SPECS",
     "CellFailure",
-    "LAST_RUN_STATS",
+    "RunPolicy",
     "default_jobs",
     "resolve_library",
-    "run_cells_parallel",
-    "run_tasks_parallel",
 ]
 
 #: Builtin library specs accepted by :func:`resolve_library` (anything
@@ -103,23 +72,21 @@ DEFAULT_BACKOFF = 0.05
 #: enforcement and dead-worker detection.
 _TICK = 0.05
 
-#: :class:`RunStats` of the most recent :func:`run_cells_parallel` call
-#: in this process (the journal's ``end`` record carries the same data).
-LAST_RUN_STATS = RunStats()
-
 #: Per-worker state installed by the worker initializer.
 _STATE: dict = {}
 
 
 @dataclass
 class CellFailure:
-    """A structured failure row standing in for one cell's result.
+    """A structured failure row standing in for one job's result.
 
     Attributes:
-        circuit: the suite circuit name of the failed cell.
-        iscas: the ISCAS tag of the circuit (for table rendering).
-        kind: ``"error"`` (in-cell exception), ``"crash"`` (worker
-            process died), ``"timeout"`` (per-cell timeout exceeded) or
+        circuit: the label of the failed job (the circuit name for a
+            table cell).
+        iscas: the ISCAS tag of a table cell's circuit (for table
+            rendering; empty for other jobs).
+        kind: ``"error"`` (in-job exception), ``"crash"`` (worker
+            process died), ``"timeout"`` (per-job timeout exceeded) or
             ``"interrupted"`` (run stopped by ``KeyboardInterrupt``).
         error: human-readable failure text (exception text, exit code,
             or timeout description).
@@ -142,15 +109,7 @@ class CellFailure:
     failed = True
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "circuit": self.circuit,
-            "iscas": self.iscas,
-            "kind": self.kind,
-            "error": self.error,
-            "error_type": self.error_type,
-            "attempts": self.attempts,
-            "wall_s": round(self.wall_s, 6),
-        }
+        return {**asdict(self), "wall_s": round(self.wall_s, 6)}
 
 
 def resolve_library(spec: str) -> "GateLibrary":
@@ -177,17 +136,7 @@ def resolve_library(spec: str) -> "GateLibrary":
 
     from repro.library.builtin import lib2_like, lib44_1, lib44_3, mini_library
 
-    builders = {
-        "lib2": lib2_like,
-        "44-1": lib44_1,
-        "44-3": lib44_3,
-        "mini": mini_library,
-    }
-    if tuple(builders) != BUILTIN_SPECS:
-        raise RunnerConfigError(
-            "builtin library table out of sync with BUILTIN_SPECS: "
-            f"{tuple(builders)} != {BUILTIN_SPECS}"
-        )
+    builders = dict(zip(BUILTIN_SPECS, (lib2_like, lib44_1, lib44_3, mini_library)))
     if spec in builders:
         return builders[spec]()
     if not os.path.isfile(spec):
@@ -216,63 +165,99 @@ def default_jobs() -> int:
     return affinity or os.cpu_count() or 1
 
 
+@dataclass(frozen=True)
+class RunPolicy:
+    """How a batch runs: the one place its supervision knobs live.
+
+    Attributes:
+        workers: worker processes in the pool (drivers cap this at the
+            number of jobs they actually dispatch).
+        cell_timeout: per-attempt wall-clock budget in seconds; a job
+            over budget has its worker killed and replaced and fails as
+            ``timeout`` (never retried — a hang is assumed
+            deterministic).  ``None`` means no timeout.
+        retries: bounded retry budget for transient failures (in-job
+            exceptions and worker crashes).
+        backoff: base delay of the exponential retry backoff
+            (``backoff * 2**attempt`` seconds).
+
+    Construction validates every field, so a policy that exists is a
+    valid one.
+
+    Raises:
+        RunnerConfigError: (code ``R002``) a field is out of range.
+    """
+
+    workers: int = 1
+    cell_timeout: Optional[float] = None
+    retries: int = DEFAULT_RETRIES
+    backoff: float = DEFAULT_BACKOFF
+
+    def __post_init__(self) -> None:
+        problems = {
+            "workers must be >= 1": self.workers < 1,
+            "cell timeout must be positive": (
+                self.cell_timeout is not None and not self.cell_timeout > 0
+            ),
+            "retries must be >= 0": self.retries < 0,
+            "backoff must be >= 0": not self.backoff >= 0,
+        }
+        for problem, bad in problems.items():
+            if bad:
+                raise RunnerConfigError(f"[R002] {problem}, got {self!r}")
+
+    @classmethod
+    def resolve(
+        cls,
+        workers: Optional[int] = None,
+        cell_timeout: Optional[float] = None,
+        retries: Optional[int] = None,
+        backoff: Optional[float] = None,
+    ) -> "RunPolicy":
+        """Resolve each knob: the argument, else the env registry, else
+        the default.
+
+        ``workers`` defaults to :func:`default_jobs`; ``cell_timeout``,
+        ``retries`` and ``backoff`` fall back to ``REPRO_CELL_TIMEOUT``
+        (unset = no timeout), ``REPRO_CELL_RETRIES`` (2) and
+        ``REPRO_CELL_BACKOFF`` (0.05 s).  This is the only reader of
+        those variables.
+
+        Raises:
+            RunnerConfigError: (``R002``) a malformed variable or an
+                out-of-range value.
+        """
+        try:
+            if cell_timeout is None:
+                cell_timeout = env.read_float("REPRO_CELL_TIMEOUT")
+            if retries is None:
+                retries = env.read_int("REPRO_CELL_RETRIES", DEFAULT_RETRIES)
+            if backoff is None:
+                backoff = env.read_float("REPRO_CELL_BACKOFF", DEFAULT_BACKOFF)
+        except EnvVarError as exc:
+            raise RunnerConfigError(f"[R002] {exc}") from None
+        return cls(
+            workers=default_jobs() if workers is None else int(workers),
+            cell_timeout=None if cell_timeout is None else float(cell_timeout),
+            retries=int(DEFAULT_RETRIES if retries is None else retries),
+            backoff=float(DEFAULT_BACKOFF if backoff is None else backoff),
+        )
+
+
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
 
 
-def _suite_bundle_factory() -> Callable[[tuple], Callable[[object], object]]:
-    """Bundle factory for suite cells (one bundle per library config).
-
-    The returned ``build`` turns one bundle key — ``(spec, max_variants,
-    kind_value, verify, cache, check, engine)`` — into a runner mapping
-    a circuit name to a :class:`~repro.harness.experiment.ComparisonRow`.
-    Building the bundle is the expensive part (pattern trie, and the
-    NPN-class table for the cuts engine); the warm pool pays it once
-    per (worker, bundle) instead of once per process per batch.
-    """
-
-    def build(bundle_key: tuple) -> Callable[[object], object]:
-        from repro.core.match import MatchKind
-        from repro.harness.experiment import tree_vs_dag_cell
-        from repro.library.patterns import PatternSet
-
-        spec, max_variants, kind_value, verify, cache, check, engine = (
-            bundle_key
-        )
-        patterns = PatternSet(resolve_library(spec), max_variants=max_variants)
-        if engine == "cuts":
-            # Build (or load from the persistent side-cache) the NPN
-            # table once per bundle, so per-cell mapping never pays it.
-            from repro.library.npn_table import table_for
-
-            table_for(patterns)
-        kind = MatchKind(kind_value)
-
-        def runner(name: object) -> object:
-            return tree_vs_dag_cell(
-                name,
-                patterns,
-                kind=kind,
-                verify=verify,
-                cache=cache,
-                check=check,
-                engine=engine,
-            )
-
-        return runner
-
-    return build
-
-
 def _task_bundle_factory(
     setup: Callable, setup_args: tuple
 ) -> Callable[[tuple], Callable[[object], object]]:
-    """Bundle factory adapter for the generic task pool.
+    """Bundle factory for batches of one kind of task.
 
-    Every :func:`run_tasks_parallel` job shares the single ``("task",)``
-    bundle, whose runner is whatever ``setup(*setup_args)`` returns —
-    the historical generic-pool contract, unchanged.
+    Every job shares the single ``("task",)`` bundle, whose runner is
+    whatever ``setup(*setup_args)`` returns: ``setup`` runs once per
+    worker, so heavy shared state (pattern sets, libraries) belongs
+    there.  ``setup`` must be a picklable module-level callable.
     """
 
     def build(bundle_key: tuple) -> Callable[[object], object]:
@@ -285,10 +270,10 @@ def _task_bundle_factory(
 def _init_worker(initargs: tuple) -> None:
     """Worker initializer: install the bundle factory and eager bundles.
 
-    ``initargs`` is ``("campaign", factory, factory_args,
-    eager_bundles)``: ``factory`` must be a picklable (module-level)
-    callable; ``factory(*factory_args)`` runs once per worker process
-    and returns ``build(bundle_key) -> runner``.  Each bundle key in
+    ``initargs`` is ``(factory, factory_args, eager_bundles)``:
+    ``factory`` must be a picklable (module-level) callable;
+    ``factory(*factory_args)`` runs once per worker process and returns
+    ``build(bundle_key) -> runner``.  Each bundle key in
     ``eager_bundles`` is built immediately — so a broken configuration
     fails at init (the coded ``R003`` error) rather than per-job — and
     any other key a job later names is built lazily on first use and
@@ -296,10 +281,7 @@ def _init_worker(initargs: tuple) -> None:
     process boundary, so they may hold arbitrarily heavy state
     (pattern sets, NPN tables, matcher memos, ...).
     """
-    mode = initargs[0]
-    if mode != "campaign":  # pragma: no cover - caller bug
-        raise ValueError(f"unknown worker mode {mode!r}")
-    factory, factory_args, eager = initargs[1], initargs[2], initargs[3]
+    factory, factory_args, eager = initargs
     build = factory(*factory_args)
     bundles = {}
     for bundle_key in eager:
@@ -407,325 +389,3 @@ def _describe(exc: BaseException) -> str:
         text = "<unprintable exception>"
     name = type(exc).__name__
     return f"{name}: {text}" if text else name
-
-
-# ----------------------------------------------------------------------
-# Supervisor side
-# ----------------------------------------------------------------------
-
-
-def _resolve_float(
-    value: Optional[float], name: str, default: Optional[float]
-) -> Optional[float]:
-    if value is None:
-        try:
-            value = env.read_float(name, default)
-        except EnvVarError as exc:
-            raise RunnerConfigError(f"[R002] {exc}") from None
-        if value is None:
-            return None
-    return float(value)
-
-
-def _resolve_int(value: Optional[int], name: str, default: int) -> int:
-    if value is None:
-        try:
-            resolved = env.read_int(name, default)
-        except EnvVarError as exc:
-            raise RunnerConfigError(f"[R002] {exc}") from None
-        value = default if resolved is None else resolved
-    return int(value)
-
-
-def _iscas(name: str) -> str:
-    from repro.bench.suite import ALL_CIRCUITS
-
-    entry = ALL_CIRCUITS.get(name)
-    return entry.iscas if entry is not None else ""
-
-
-def run_cells_parallel(
-    spec: str,
-    names: Sequence[str],
-    kind: MatchKind,
-    max_variants: int = 8,
-    verify: bool = True,
-    cache: bool = True,
-    jobs: Optional[int] = None,
-    check: bool = False,
-    engine: str = "structural",
-    cell_timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    backoff: Optional[float] = None,
-    journal_path: Optional[str] = None,
-    resume_path: Optional[str] = None,
-) -> List:
-    """Map every named circuit with both mappers, fanned out over ``jobs``.
-
-    Args:
-        spec: respawnable library spec (builtin name or genlib path).
-        names: suite circuit names; one cell each.
-        kind: :class:`repro.core.match.MatchKind` for the DAG mapper.
-        max_variants: pattern variants per gate.
-        verify: simulate each mapped netlist against its source.
-        cache: enable the matching caches inside each worker.
-        jobs: worker processes (default: the schedulable CPU count,
-            capped at the number of cells actually pending).
-        check: certify every mapping result inside each worker.
-        engine: matcher candidate engine (``'structural'``/``'cuts'``);
-            rows are identical either way, so resumed journal rows from
-            the other engine remain valid.
-        cell_timeout: per-attempt wall-clock budget in seconds; a cell
-            over budget has its worker killed and replaced.  Defaults to
-            ``REPRO_CELL_TIMEOUT`` (unset = no timeout).
-        retries: bounded retry budget for transient failures (in-cell
-            exceptions and worker crashes; timeouts are final).
-            Defaults to ``REPRO_CELL_RETRIES`` or 2.
-        backoff: base delay of the exponential retry backoff
-            (``backoff * 2**attempt`` seconds).  Defaults to
-            ``REPRO_CELL_BACKOFF`` or 0.05.
-        journal_path: append one JSONL record per finished cell there.
-        resume_path: replay a previous journal; cells recorded ``ok``
-            under the same configuration are not re-run.  When no
-            ``journal_path`` is given, new records append to the
-            resumed journal.
-
-    Returns:
-        One entry per name, in the order of ``names``: a
-        ``ComparisonRow`` for every healthy cell and a
-        :class:`CellFailure` for every cell that could not produce one.
-
-    Raises:
-        UnknownLibrarySpecError: bad ``spec`` (``R001``), before any
-            worker is spawned.
-        RunnerConfigError: bad ``jobs``/timeout/retry values (``R002``).
-        WorkerInitError: a worker's initializer failed (``R003``).
-        JournalError: ``resume_path`` is unreadable (``R004``).
-    """
-    global LAST_RUN_STATS
-    names = list(names)
-    if jobs is not None and int(jobs) < 1:
-        raise RunnerConfigError(
-            f"[R002] jobs must be >= 1, got {jobs!r}"
-        )
-    if not names:
-        return []
-    cell_timeout = _resolve_float(cell_timeout, "REPRO_CELL_TIMEOUT", None)
-    if cell_timeout is not None and cell_timeout <= 0:
-        raise RunnerConfigError(
-            f"[R002] cell timeout must be positive, got {cell_timeout!r}"
-        )
-    retries = _resolve_int(retries, "REPRO_CELL_RETRIES", DEFAULT_RETRIES)
-    if retries < 0:
-        raise RunnerConfigError(
-            f"[R002] retries must be >= 0, got {retries!r}"
-        )
-    backoff_v = _resolve_float(backoff, "REPRO_CELL_BACKOFF", DEFAULT_BACKOFF)
-    if backoff_v is None or backoff_v < 0:
-        raise RunnerConfigError(
-            f"[R002] backoff must be >= 0, got {backoff_v!r}"
-        )
-    resolve_library(spec)  # fail fast (R001) before any fork
-
-    kind_value = getattr(kind, "value", str(kind))
-    keys: List[CellKey] = [
-        cell_key(spec, kind_value, name, max_variants, verify, check)
-        for name in names
-    ]
-    stats = RunStats(cells_total=len(names))
-    started = time.perf_counter()
-
-    completed: Dict[int, object] = {}
-    if resume_path is not None:
-        state = load_journal(resume_path)
-        for task_id, key in enumerate(keys):
-            if task_id in completed:
-                continue  # duplicate names resolve to the same key
-            row = state.completed_row(key)
-            if row is not None:
-                completed[task_id] = row
-                stats.cells_resumed += 1
-        if journal_path is None:
-            journal_path = resume_path
-    writer = JournalWriter(journal_path) if journal_path else None
-
-    pending = [i for i in range(len(names)) if i not in completed]
-    jobs = default_jobs() if jobs is None else int(jobs)
-    jobs = max(1, min(jobs, len(pending) or 1))
-    if writer is not None:
-        writer.start(
-            spec,
-            kind_value,
-            names,
-            jobs,
-            cell_timeout,
-            retries,
-            resumed_cells=stats.cells_resumed,
-        )
-    if pending:
-        from repro.perf.stream import StreamJob, stream_jobs
-
-        bundle = (
-            spec, int(max_variants), str(kind_value), bool(verify),
-            bool(cache), bool(check), str(engine),
-        )
-        stream = stream_jobs(
-            (
-                StreamJob(
-                    label=names[task_id],
-                    payload=names[task_id],
-                    bundle=bundle,
-                    key=keys[task_id],
-                )
-                for task_id in pending
-            ),
-            _suite_bundle_factory,
-            (),
-            workers=jobs,
-            eager_bundles=(bundle,),
-            cell_timeout=cell_timeout,
-            retries=retries,
-            backoff=backoff_v,
-            writer=writer,
-            stats=stats,
-            iscas_of=_iscas,
-        )
-        try:
-            for result in stream:
-                completed[pending[result.index]] = result.row
-        except KeyboardInterrupt:
-            stats.interrupted = True
-        finally:
-            stream.close()  # deterministic worker shutdown on any exit
-        # Cells the engine never saw (interrupt before they were pulled)
-        # still owe the caller a structured row.
-        for task_id in pending:
-            if task_id not in completed:
-                name = names[task_id]
-                completed[task_id] = CellFailure(
-                    circuit=name,
-                    iscas=_iscas(name),
-                    kind="interrupted",
-                    error="run interrupted before this cell finished",
-                    error_type="RunInterrupted",
-                    attempts=0,
-                    wall_s=0.0,
-                )
-    ok_rows = sum(
-        1 for row in completed.values() if not getattr(row, "failed", False)
-    )
-    stats.cells_ok = ok_rows - stats.cells_resumed
-    stats.cells_failed = len(completed) - ok_rows
-    stats.wall_s = time.perf_counter() - started
-    if writer is not None:
-        writer.end(stats.as_dict())
-    LAST_RUN_STATS = stats
-    return [completed[task_id] for task_id in range(len(names))]
-
-
-def run_tasks_parallel(
-    setup: Callable,
-    setup_args: tuple,
-    payloads: Sequence,
-    labels: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
-    task_timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    backoff: Optional[float] = None,
-) -> List:
-    """Fan arbitrary picklable payloads over the fault-tolerant pool.
-
-    The same supervised dispatch as :func:`run_cells_parallel` — crash
-    isolation, per-task timeouts with worker replacement, bounded
-    exponential-backoff retries, graceful ``KeyboardInterrupt`` — for
-    any task, without the suite-specific journaling.
-
-    Args:
-        setup: picklable module-level callable; runs once per worker
-            process with ``*setup_args`` and returns the per-task runner
-            ``runner(payload) -> result``.  Heavy shared state (pattern
-            sets, libraries) belongs here so it is built once per worker.
-        setup_args: arguments for ``setup``; must be picklable.
-        payloads: one picklable task payload per task.
-        labels: per-task display names used in failure rows and by the
-            ``REPRO_FAULT_INJECT`` hook; default ``task0, task1, ...``.
-        jobs: worker processes (default: schedulable CPUs, capped at the
-            payload count).
-        task_timeout: per-attempt wall-clock budget in seconds
-            (``REPRO_CELL_TIMEOUT`` fallback; unset = none).
-        retries: bounded retry budget for transient failures
-            (``REPRO_CELL_RETRIES`` fallback, default 2).
-        backoff: retry backoff base in seconds
-            (``REPRO_CELL_BACKOFF`` fallback, default 0.05).
-
-    Returns:
-        One entry per payload, in order: the runner's return value, or a
-        :class:`CellFailure` whose ``circuit`` field carries the label.
-
-    Raises:
-        RunnerConfigError: bad ``jobs``/timeout/retry values (``R002``).
-        WorkerInitError: ``setup`` raised in a worker (``R003``).
-    """
-    payloads = list(payloads)
-    if labels is None:
-        labels = [f"task{i}" for i in range(len(payloads))]
-    labels = [str(label) for label in labels]
-    if len(labels) != len(payloads):
-        raise RunnerConfigError(
-            f"[R002] got {len(labels)} labels for {len(payloads)} payloads"
-        )
-    if jobs is not None and int(jobs) < 1:
-        raise RunnerConfigError(f"[R002] jobs must be >= 1, got {jobs!r}")
-    if not payloads:
-        return []
-    task_timeout = _resolve_float(task_timeout, "REPRO_CELL_TIMEOUT", None)
-    if task_timeout is not None and task_timeout <= 0:
-        raise RunnerConfigError(
-            f"[R002] task timeout must be positive, got {task_timeout!r}"
-        )
-    retries = _resolve_int(retries, "REPRO_CELL_RETRIES", DEFAULT_RETRIES)
-    if retries < 0:
-        raise RunnerConfigError(f"[R002] retries must be >= 0, got {retries!r}")
-    backoff_v = _resolve_float(backoff, "REPRO_CELL_BACKOFF", DEFAULT_BACKOFF)
-    if backoff_v is None or backoff_v < 0:
-        raise RunnerConfigError(
-            f"[R002] backoff must be >= 0, got {backoff_v!r}"
-        )
-    jobs = default_jobs() if jobs is None else int(jobs)
-    jobs = max(1, min(jobs, len(payloads)))
-    from repro.perf.stream import StreamJob, stream_jobs
-
-    completed: Dict[int, object] = {}
-    stream = stream_jobs(
-        (
-            StreamJob(label=labels[i], payload=payloads[i])
-            for i in range(len(payloads))
-        ),
-        _task_bundle_factory,
-        (setup, setup_args),
-        workers=jobs,
-        eager_bundles=(("task",),),
-        cell_timeout=task_timeout,
-        retries=retries,
-        backoff=backoff_v,
-        stats=RunStats(cells_total=len(payloads)),
-    )
-    try:
-        for result in stream:
-            completed[result.index] = result.row
-    except KeyboardInterrupt:
-        pass
-    finally:
-        stream.close()
-    for task_id in range(len(payloads)):
-        if task_id not in completed:
-            completed[task_id] = CellFailure(
-                circuit=labels[task_id],
-                iscas="",
-                kind="interrupted",
-                error="run interrupted before this task finished",
-                error_type="RunInterrupted",
-                attempts=0,
-                wall_s=0.0,
-            )
-    return [completed[task_id] for task_id in range(len(payloads))]

@@ -1,12 +1,10 @@
-"""Streaming warm-worker campaign engine.
+"""Streaming warm-worker engine: the one batch driver of the package.
 
-The fault-tolerant pool of :mod:`repro.perf.parallel` dispatches one
-*fixed batch* and tears everything down at the end; every new batch
-pays the full per-process warm-up again (pattern trie, NPN-class
-table, matcher memos).  This module generalises the same supervised
-mechanics — private result pipes, crash isolation, per-task timeouts
-with worker replacement, bounded exponential-backoff retries, graceful
-``KeyboardInterrupt`` — into a *streaming* engine:
+Every batch — the paper's table cells, mapping campaigns, fuzz seeds,
+the parallel NPN-table build — runs here, over the worker protocol of
+:mod:`repro.perf.parallel`: private result pipes, crash isolation,
+per-task timeouts with worker replacement, bounded exponential-backoff
+retries and graceful ``KeyboardInterrupt``, in a *streaming* form:
 
 * jobs arrive from an **unbounded iterator** and results are yielded in
   **completion order** the moment they finish, so an arbitrarily long
@@ -30,13 +28,14 @@ with worker replacement, bounded exponential-backoff retries, graceful
   pays a fresh process + bundle build — which is exactly what
   ``benchmarks/bench_throughput.py`` compares the warm pool against;
 * jobs carrying a :data:`~repro.perf.journal.CellKey` are journalled
-  through the existing ``repro-run-journal/1`` writer, so campaign
-  runs resume with the same machinery as the suite runner.
+  through the run-journal writer, so campaigns resume from it.
 
-The engine is deliberately policy-free: it does not resolve env
-defaults, build libraries, or decide orderings.  Drivers
-(:func:`repro.perf.parallel.run_cells_parallel`,
-:mod:`repro.perf.campaign`, :mod:`repro.fuzz.run`) own those choices.
+The engine does not resolve env defaults, build libraries, or decide
+orderings: it takes a resolved :class:`~repro.perf.parallel.RunPolicy`.
+Drivers (:mod:`repro.perf.campaign`, :mod:`repro.fuzz.run`,
+:mod:`repro.library.npn_table`) own those choices, and
+:func:`collect_rows` turns a stream back into one row per job in input
+order.
 """
 
 from __future__ import annotations
@@ -62,8 +61,19 @@ from typing import (
 from repro.errors import RunnerConfigError, WorkerInitError
 from repro.perf.counters import RunStats
 from repro.perf.journal import CellKey, JournalWriter
+from repro.perf.parallel import (
+    _TICK,
+    DEFAULT_BACKOFF,
+    DEFAULT_RETRIES,
+    CellFailure,
+    RunPolicy,
+    _worker_main,
+)
 
-__all__ = ["StreamJob", "StreamResult", "stream_jobs"]
+__all__ = ["StreamJob", "StreamResult", "collect_rows", "stream_jobs"]
+
+#: Share of a sharded pool dedicated to large jobs.
+_LARGE_SHARE = 0.25
 
 #: A bundle key: any hashable, picklable tuple understood by the
 #: driver's bundle factory (e.g. ``(library, variants, kind, engine)``).
@@ -140,44 +150,42 @@ def stream_jobs(
     factory: BundleFactory,
     factory_args: Tuple[object, ...] = (),
     *,
-    workers: int,
-    eager_bundles: Sequence[BundleKey] = (),
+    policy: Optional[RunPolicy] = None,
+    workers: int = 1,
     cell_timeout: Optional[float] = None,
-    retries: int = 2,
-    backoff: float = 0.05,
+    retries: int = DEFAULT_RETRIES,
+    backoff: float = DEFAULT_BACKOFF,
+    eager_bundles: Sequence[BundleKey] = (),
     max_inflight: Optional[int] = None,
     large_weight: Optional[int] = None,
-    large_share: float = 0.25,
     recycle_after: Optional[int] = None,
     writer: Optional[JournalWriter] = None,
     stats: Optional[RunStats] = None,
-    iscas_of: Optional[Callable[[str], str]] = None,
 ) -> Iterator[StreamResult]:
     """Stream ``jobs`` through a supervised warm-worker pool.
 
     Yields one :class:`StreamResult` per job **in completion order**;
-    consume lazily for constant-memory campaigns.  Timeout/retry/backoff
-    values must already be resolved (the env fallbacks live in the
-    drivers).  ``stats`` — when given — accumulates throughput counters
+    consume lazily for constant-memory campaigns.  ``policy`` is the
+    resolved :class:`~repro.perf.parallel.RunPolicy` (drivers build it
+    with :meth:`RunPolicy.resolve`); without one, the explicit
+    ``workers``/``cell_timeout``/``retries``/``backoff`` values form
+    it as given — the engine itself never reads the environment.
+    ``stats`` — when given — accumulates throughput counters
     (retries/timeouts/crashes, warm hits/misses, shard occupancy,
     latency percentiles, jobs/s); totals (``cells_total``/``ok``/
     ``failed``) stay with the driver, which knows about resumed cells.
 
     Raises:
-        RunnerConfigError: non-positive ``workers`` or bad knob values
-            (``R002``).
+        RunnerConfigError: bad policy or knob values (``R002``).
         WorkerInitError: a worker's bundle factory failed (``R003``).
     """
-    # Lazy import: repro.perf.parallel imports this module from inside
-    # its driver functions, so a top-level import either way would race.
-    from repro.perf.parallel import _TICK, CellFailure, _worker_main
-
-    if workers < 1:
-        raise RunnerConfigError(f"[R002] workers must be >= 1, got {workers!r}")
-    if retries < 0:
-        raise RunnerConfigError(f"[R002] retries must be >= 0, got {retries!r}")
-    if backoff < 0:
-        raise RunnerConfigError(f"[R002] backoff must be >= 0, got {backoff!r}")
+    if policy is None:
+        policy = RunPolicy(
+            workers=workers, cell_timeout=cell_timeout, retries=retries,
+            backoff=backoff,
+        )
+    workers = policy.workers
+    cell_timeout = policy.cell_timeout
     if recycle_after is not None and recycle_after < 1:
         raise RunnerConfigError(
             f"[R002] recycle_after must be >= 1, got {recycle_after!r}"
@@ -191,11 +199,11 @@ def stream_jobs(
         )
     run_stats = stats if stats is not None else RunStats()
     sharded = large_weight is not None and workers >= 2
-    n_large = max(1, min(workers - 1, round(workers * large_share))) if sharded else 0
+    n_large = max(1, min(workers - 1, round(workers * _LARGE_SHARE))) if sharded else 0
 
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-    initargs = ("campaign", factory, factory_args, tuple(eager_bundles))
+    initargs = (factory, factory_args, tuple(eager_bundles))
 
     source = iter(jobs)
     exhausted = False
@@ -284,7 +292,7 @@ def stream_jobs(
             run_stats.warm_misses += 1
         job = seen[index]
         if writer is not None and job.key is not None:
-            writer.cell_ok(job.key, row, attempt + 1, cell_wall[index])  # type: ignore[arg-type]
+            writer.cell(job.key, row, attempt + 1, cell_wall[index])
         finish(
             index,
             StreamResult(
@@ -309,15 +317,15 @@ def stream_jobs(
         retryable: bool,
     ) -> None:
         cell_wall[index] += wall
-        if retryable and attempt < retries:
+        if retryable and attempt < policy.retries:
             run_stats.retries += 1
-            eligible = time.perf_counter() + backoff * (2 ** attempt)
+            eligible = time.perf_counter() + policy.backoff * (2 ** attempt)
             delayed.append((eligible, index, attempt + 1))
             return
         job = seen[index]
         failure = CellFailure(
             circuit=job.label,
-            iscas=iscas_of(job.label) if iscas_of is not None else "",
+            iscas="",
             kind=fail_kind,
             error=error,
             error_type=error_type,
@@ -325,22 +333,8 @@ def stream_jobs(
             wall_s=cell_wall[index],
         )
         if writer is not None and job.key is not None:
-            writer.cell_failed(
-                job.key, failure.as_dict(), failure.attempts, failure.wall_s
-            )
-        finish(
-            index,
-            StreamResult(
-                index=index,
-                label=job.label,
-                row=failure,
-                failed=True,
-                warm=False,
-                worker_id=-1,
-                attempts=failure.attempts,
-                wall_s=failure.wall_s,
-            ),
-        )
+            writer.cell(job.key, failure, failure.attempts, failure.wall_s)
+        finish(index, _failed(index, failure))
 
     def maybe_recycle(worker_id: int) -> None:
         if recycle_after is None:
@@ -517,34 +511,10 @@ def stream_jobs(
         except KeyboardInterrupt:
             run_stats.interrupted = True
             for index in range(len(seen)):
-                if index in done:
-                    continue
-                job = seen[index]
-                finish(
-                    index,
-                    StreamResult(
-                        index=index,
-                        label=job.label,
-                        row=CellFailure(
-                            circuit=job.label,
-                            iscas=(
-                                iscas_of(job.label)
-                                if iscas_of is not None
-                                else ""
-                            ),
-                            kind="interrupted",
-                            error="run interrupted before this job finished",
-                            error_type="RunInterrupted",
-                            attempts=0,
-                            wall_s=cell_wall.get(index, 0.0),
-                        ),
-                        failed=True,
-                        warm=False,
-                        worker_id=-1,
-                        attempts=0,
-                        wall_s=cell_wall.get(index, 0.0),
-                    ),
-                )
+                if index not in done:
+                    finish(index, _interrupted(
+                        index, seen[index].label, cell_wall.get(index, 0.0)
+                    ))
     finally:
         for worker in list(pool.values()) + retiring:
             if worker.proc.is_alive() and worker.task is None:
@@ -576,3 +546,63 @@ def _finalize(
     wall = time.perf_counter() - started
     stats.jobs_per_s = completed / wall if wall > 0 else 0.0
     stats.observe_latencies(latencies)
+
+
+def _failed(index: int, failure: CellFailure) -> StreamResult:
+    return StreamResult(
+        index=index,
+        label=failure.circuit,
+        row=failure,
+        failed=True,
+        warm=False,
+        worker_id=-1,
+        attempts=failure.attempts,
+        wall_s=failure.wall_s,
+    )
+
+
+def _interrupted(index: int, label: str, wall_s: float) -> StreamResult:
+    """The placeholder for a job the run stopped before it finished.
+
+    The only place an ``interrupted`` :class:`CellFailure` is built:
+    the engine emits it for jobs in flight at ``KeyboardInterrupt``,
+    and :func:`collect_rows` for jobs the stream never pulled.
+    """
+    return _failed(index, CellFailure(
+        circuit=label,
+        iscas="",
+        kind="interrupted",
+        error="run interrupted before this job finished",
+        error_type="RunInterrupted",
+        attempts=0,
+        wall_s=wall_s,
+    ))
+
+
+def collect_rows(
+    results: Iterator[StreamResult], labels: Sequence[str]
+) -> List[object]:
+    """Drain a result stream into one row per job, in job order.
+
+    ``labels`` names the jobs by input position and is read only after
+    the stream ends, so a feed that decides lazily how many jobs to
+    yield may append to it as it goes.  A ``KeyboardInterrupt`` stops
+    the drain; every position without a result — a job the engine
+    never pulled — gets an ``interrupted`` :class:`CellFailure`, so the
+    list always has ``len(labels)`` entries.  The stream is closed on
+    every exit, which shuts its workers down.
+    """
+    by_index: Dict[int, object] = {}
+    try:
+        for result in results:
+            by_index[result.index] = result.row
+    except KeyboardInterrupt:
+        pass
+    finally:
+        close = getattr(results, "close", None)
+        if close is not None:
+            close()
+    return [
+        by_index[i] if i in by_index else _interrupted(i, label, 0.0).row
+        for i, label in enumerate(labels)
+    ]

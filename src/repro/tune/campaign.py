@@ -22,7 +22,6 @@ reruns and worker counts.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -34,6 +33,7 @@ from repro.perf.campaign import (
     MODE_WEIGHT,
     CampaignJob,
     CampaignRow,
+    _generator_json,
     run_mapping_campaign,
 )
 from repro.perf.counters import RunStats
@@ -86,11 +86,7 @@ def seed_sources(
     seeds: Sequence[int], nodes: int = 16, inputs: int = 6
 ) -> List[Source]:
     """Ensemble sources from fuzz-generator seeds (self-contained jobs)."""
-    from repro.fuzz.generator import FuzzConfig
-
-    gen_json = json.dumps(
-        FuzzConfig(n_inputs=inputs, n_nodes=nodes).as_dict(), sort_keys=True
-    )
+    gen_json = _generator_json(n_inputs=inputs, n_nodes=nodes)
     return [
         (f"s{int(seed)}", ("seed", str(int(seed)), gen_json), nodes)
         for seed in seeds

@@ -386,3 +386,120 @@ class TestEcoMode:
 
         assert "eco" in MODES
         assert MODE_WEIGHT["eco"] >= 2  # maps the circuit three times
+
+
+class TestJournalKey:
+    """The journal key covers every job field that can change a row."""
+
+    def test_key_covers_every_field_but_weight(self):
+        import dataclasses
+
+        job = CampaignJob(label="a", source=("suite", "C432s"))
+        other = {
+            str: lambda v: v + "x",
+            tuple: lambda v: v + ("x",),
+            bool: lambda v: not v,
+            int: lambda v: v + 1,
+            float: lambda v: v + 0.5,
+        }
+        for field in dataclasses.fields(CampaignJob):
+            value = getattr(job, field.name)
+            changed = dataclasses.replace(
+                job, **{field.name: other[type(value)](value)}
+            )
+            if field.name == "weight":
+                assert changed.key() == job.key()
+            else:
+                assert changed.key() != job.key(), field.name
+
+    @pytest.mark.parametrize("changed", [
+        {"mode": "recover"}, {"engine": "cuts"},
+    ])
+    def test_resume_never_replays_another_configuration(
+        self, tmp_path, changed
+    ):
+        journal = str(tmp_path / "dag.jsonl")
+        first = run_mapping_campaign(
+            seed_ensemble([1, 2], ["lib2"]), workers=1, journal_path=journal
+        )
+        assert first.ok
+        jobs = seed_ensemble([1, 2], ["lib2"], **changed)
+        resumed = run_mapping_campaign(jobs, workers=1, resume_path=journal)
+        fresh = run_mapping_campaign(jobs, workers=1)
+        assert resumed.stats.cells_resumed == 0
+        for key, value in changed.items():
+            assert [getattr(r, key) for r in resumed.rows] == [value] * 2
+        assert [r.stable() for r in resumed.rows] == [
+            r.stable() for r in fresh.rows
+        ]
+
+    def test_legacy_journal_is_refused(self, tmp_path):
+        from repro.errors import JournalError
+
+        journal = tmp_path / "legacy.jsonl"
+        records = [
+            {"schema": "repro-run-journal/1", "event": "start",
+             "spec": "campaign", "kind": "stream", "names": ["s1-lib2"],
+             "jobs": 1, "cell_timeout": None, "retries": 2,
+             "resumed_cells": 0},
+            {"event": "cell", "status": "ok", "name": "s1-lib2",
+             "spec": "lib2", "kind": "standard", "max_variants": 8,
+             "verify": False, "check": False, "attempts": 1, "wall_s": 0.1,
+             "row": {"label": "s1-lib2", "mode": "dag"}},
+        ]
+        journal.write_text(
+            "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        )
+        with pytest.raises(JournalError, match=r"\[R004\]"):
+            run_mapping_campaign(
+                seed_ensemble([1], ["lib2"], mode="recover"), workers=1,
+                resume_path=str(journal),
+            )
+
+
+class TestInterrupt:
+    def test_interrupted_campaign_returns_a_row_per_job(self, monkeypatch):
+        jobs = seed_ensemble(range(6), ["lib2"], nodes=8, inputs=4)
+        original = CampaignJob.bundle
+
+        def bundle(job):
+            if job.label == jobs[2].label:
+                raise KeyboardInterrupt
+            return original(job)
+
+        monkeypatch.setattr(CampaignJob, "bundle", bundle)
+        out = run_mapping_campaign(jobs, workers=1, max_inflight=1)
+        assert len(out.rows) == len(jobs)
+        assert [r.label for r in out.rows[:2]] == [j.label for j in jobs[:2]]
+        for job, row in zip(jobs[2:], out.rows[2:]):
+            assert row.failed
+            assert row.circuit == job.label
+            assert row.kind == "interrupted"
+            assert row.error_type == "RunInterrupted"
+
+
+class TestCompareMode:
+    def test_compare_job_returns_the_table_row(self):
+        from repro.core.match import MatchKind
+        from repro.harness.experiment import ComparisonRow, tree_vs_dag_cell
+        from repro.library.builtin import mini_library
+        from repro.library.patterns import PatternSet
+
+        job = CampaignJob(label="C432s", source=("suite", "C432s"),
+                          library="mini", mode="compare")
+        out = run_mapping_campaign([job], workers=1)
+        row = out.rows[0]
+        assert isinstance(row, ComparisonRow)
+        serial = tree_vs_dag_cell(
+            "C432s", PatternSet(mini_library()), kind=MatchKind.STANDARD,
+            verify=False,
+        )
+        assert (row.tree_delay, row.dag_delay, row.dag_area) == (
+            serial.tree_delay, serial.dag_delay, serial.dag_area,
+        )
+
+    def test_compare_needs_a_suite_source(self):
+        job = seed_ensemble([1], ["mini"], mode="compare")[0]
+        out = run_mapping_campaign([job], workers=1, retries=0)
+        assert out.rows[0].failed
+        assert "[R002]" in out.rows[0].error

@@ -235,21 +235,23 @@ class TestS104Environ:
 class TestS201Unpicklable:
     def test_lambda_setup_fires(self, tmp_path):
         report = analyze_snippet(tmp_path, """\
-            from repro.perf.parallel import run_tasks_parallel
+            from repro.perf.parallel import _task_bundle_factory
+            from repro.perf.stream import stream_jobs
 
             def go(tasks):
-                return run_tasks_parallel(tasks, setup=lambda: make())
+                return stream_jobs(tasks, _task_bundle_factory,
+                                   (lambda: make(), ()))
         """)
         assert "S201" in codes_of(report)
 
     def test_nested_closure_fires(self, tmp_path):
         report = analyze_snippet(tmp_path, """\
-            from repro.perf.parallel import run_tasks_parallel
+            from repro.perf.stream import stream_jobs
 
             def go(tasks, spec):
                 def configure():
                     return spec
-                return run_tasks_parallel(tasks, setup=configure)
+                return stream_jobs(tasks, factory=configure)
         """)
         assert "S201" in codes_of(report)
 
@@ -262,13 +264,15 @@ class TestS201Unpicklable:
 
     def test_module_level_callable_is_fine(self, tmp_path):
         report = analyze_snippet(tmp_path, """\
-            from repro.perf.parallel import run_tasks_parallel
+            from repro.perf.parallel import _task_bundle_factory
+            from repro.perf.stream import stream_jobs
 
             def configure():
                 return 1
 
-            def go(tasks):
-                return run_tasks_parallel(tasks, setup=configure)
+            def go(tasks, args):
+                return stream_jobs(tasks, _task_bundle_factory,
+                                   (configure, args))
         """)
         assert codes_of(report) == []
 
@@ -362,9 +366,10 @@ class TestS202WorkerGlobals:
         assert s202[0].loc.file == "repro/other.py"
 
     def test_dispatch_setup_becomes_entrypoint(self, tmp_path):
-        # A module-level setup passed to run_tasks_parallel is walked too.
+        # A module-level setup passed to stream_jobs is walked too.
         report = analyze_snippet(tmp_path, """\
-            from repro.perf.parallel import run_tasks_parallel
+            from repro.perf.parallel import _task_bundle_factory
+            from repro.perf.stream import stream_jobs
 
             KNOBS = {}
 
@@ -374,7 +379,32 @@ class TestS202WorkerGlobals:
 
 
             def go(tasks):
-                return run_tasks_parallel(tasks, setup=configure)
+                return stream_jobs(tasks, _task_bundle_factory,
+                                   factory_args=(configure, ()))
+        """, filename="driver.py", root_package="repro")
+        assert "S202" in codes_of(report)
+
+    def test_dispatch_table_entries_are_reachable(self, tmp_path):
+        # A runner picked from a module-level table is walked too.
+        report = analyze_snippet(tmp_path, """\
+            from repro.perf.stream import stream_jobs
+
+            KNOBS = {}
+
+
+            def fast(job):
+                KNOBS["fast"] = job
+
+
+            RUNNERS = {"fast": fast}
+
+
+            def factory():
+                return lambda job: RUNNERS[job](job)
+
+
+            def go(jobs):
+                return stream_jobs(jobs, factory)
         """, filename="driver.py", root_package="repro")
         assert "S202" in codes_of(report)
 

@@ -90,11 +90,20 @@ class TestCallSites:
             bitsim.configured_vectors()
         assert "REPRO_SIM_VECTORS" in str(excinfo.value)
 
+    def test_run_policy_resolution_order(self, monkeypatch):
+        from repro.perf.parallel import RunPolicy
+
+        assert RunPolicy.resolve(workers=1) == RunPolicy()
+        monkeypatch.setenv("REPRO_CELL_RETRIES", "5")
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "9")
+        policy = RunPolicy.resolve(workers=3, retries=1)
+        assert policy == RunPolicy(workers=3, cell_timeout=9.0, retries=1)
+
     def test_runner_rejects_malformed_timeout(self, monkeypatch):
         from repro.errors import RunnerConfigError
         from repro.perf import parallel
 
         monkeypatch.setenv("REPRO_CELL_TIMEOUT", "later")
         with pytest.raises(RunnerConfigError) as excinfo:
-            parallel._resolve_float(None, "REPRO_CELL_TIMEOUT", 1.0)
+            parallel.RunPolicy.resolve()
         assert "[R002]" in str(excinfo.value)

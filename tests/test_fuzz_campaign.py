@@ -104,3 +104,25 @@ class TestCorpusIntegration:
             assert os.path.isfile(entry.blif_path)
             assert entry.meta["inject"] == "corrupt"
             assert entry.generator_config().seed in (0, 1)
+
+
+class TestRunPolicy:
+    @pytest.mark.parametrize("timeout", [-1, 0])
+    def test_non_positive_timeout_is_coded(self, timeout):
+        from repro.errors import RunnerConfigError
+
+        with pytest.raises(RunnerConfigError, match=r"\[R002\]"):
+            run_campaign([1, 2], _GEN, jobs=2, task_timeout=timeout)
+
+    def test_malformed_env_retries_is_coded(self, monkeypatch):
+        from repro.errors import RunnerConfigError
+
+        monkeypatch.setenv("REPRO_CELL_RETRIES", "many")
+        with pytest.raises(RunnerConfigError, match="REPRO_CELL_RETRIES"):
+            run_campaign([1, 2], _GEN, jobs=2)
+
+    def test_env_retry_budget_reaches_the_pool(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:seed1")
+        monkeypatch.setenv("REPRO_CELL_RETRIES", "0")
+        result = run_campaign([0, 1], _GEN, jobs=2)
+        assert [f.attempts for f in result.worker_failures] == [1]

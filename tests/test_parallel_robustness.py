@@ -1,4 +1,7 @@
-"""Fault tolerance of the parallel suite runner (repro.perf.parallel).
+"""Fault tolerance of the batch layer (repro.perf.parallel / stream).
+
+Table cells run as ``compare`` campaign jobs; the generic pool is
+``stream_jobs`` plus ``collect_rows``.
 
 Every failure mode is exercised through the deterministic
 ``REPRO_FAULT_INJECT`` hook: worker crashes and hangs must yield
@@ -22,13 +25,16 @@ from repro.harness.experiment import run_tree_vs_dag, tree_vs_dag_cell
 from repro.library.builtin import mini_library
 from repro.library.patterns import PatternSet
 from repro.perf import journal as journal_mod
+from repro.perf.campaign import CampaignJob, run_mapping_campaign
 from repro.perf.parallel import (
     BUILTIN_SPECS,
     CellFailure,
+    RunPolicy,
+    _task_bundle_factory,
     default_jobs,
     resolve_library,
-    run_cells_parallel,
 )
+from repro.perf.stream import StreamJob, collect_rows, stream_jobs
 
 SPEC = "mini"
 KIND = MatchKind.STANDARD
@@ -39,10 +45,22 @@ NAMES = ["C432s", "C880s", "C1908s"]
 _TIMING_FIELDS = {"tree_cpu", "dag_cpu", "sim_counters"}
 
 
-def _run(names=NAMES, **kwargs):
-    kwargs.setdefault("verify", False)
-    kwargs.setdefault("jobs", 2)
-    return run_cells_parallel(SPEC, names, KIND, **kwargs)
+def _cells(names, verify=False, spec=SPEC):
+    return [
+        CampaignJob(label=name, source=("suite", name), library=spec,
+                    mode="compare", kind=KIND.value, verify=verify)
+        for name in names
+    ]
+
+
+def _cell_key(name, verify):
+    return _cells([name], verify=verify)[0].key()
+
+
+def _run(names=NAMES, verify=False, jobs=2, spec=SPEC, **kwargs):
+    return run_mapping_campaign(
+        _cells(names, verify, spec), workers=jobs, **kwargs
+    ).rows
 
 
 def _serial_rows(names=NAMES, verify=False):
@@ -60,12 +78,12 @@ def _stable(row):
 
 class TestConfigValidation:
     def test_empty_names_returns_empty_without_workers(self):
-        assert run_cells_parallel(SPEC, [], KIND) == []
+        assert _run(names=[]) == []
 
     @pytest.mark.parametrize("jobs", [0, -1, -8])
     def test_bad_jobs_raises_coded_error(self, jobs):
         with pytest.raises(RunnerConfigError, match=r"\[R002\]"):
-            run_cells_parallel(SPEC, NAMES, KIND, jobs=jobs)
+            _run(jobs=jobs)
 
     def test_bad_timeout_and_retries(self):
         with pytest.raises(RunnerConfigError, match=r"\[R002\]"):
@@ -80,7 +98,7 @@ class TestConfigValidation:
 
     def test_unknown_spec_raises_before_spawning(self):
         with pytest.raises(UnknownLibrarySpecError, match=r"\[R001\]"):
-            run_cells_parallel("lib3", NAMES, KIND, jobs=2)
+            _run(spec="lib3", jobs=2)
 
     def test_resolve_library_error_lists_builtins(self):
         with pytest.raises(UnknownLibrarySpecError) as info:
@@ -201,8 +219,8 @@ class TestJournalResume:
         journal = str(tmp_path / "run.jsonl")
         _run(names=["C432s"], jobs=1, journal_path=journal, verify=False)
         state = journal_mod.load_journal(journal)
-        key_other = journal_mod.cell_key(SPEC, KIND.value, "C432s", 8, True, False)
-        key_same = journal_mod.cell_key(SPEC, KIND.value, "C432s", 8, False, False)
+        key_other = _cell_key("C432s", verify=True)
+        key_same = _cell_key("C432s", verify=False)
         assert state.completed_row(key_other) is None
         assert state.completed_row(key_same) is not None
 
@@ -210,7 +228,7 @@ class TestJournalResume:
         journal = str(tmp_path / "run.jsonl")
         rows = _run(names=["C432s"], jobs=1, journal_path=journal)
         state = journal_mod.load_journal(journal)
-        key = journal_mod.cell_key(SPEC, KIND.value, "C432s", 8, False, False)
+        key = _cell_key("C432s", verify=False)
         rebuilt = state.completed_row(key)
         assert dataclasses.asdict(rebuilt) == dataclasses.asdict(rows[0])
 
@@ -224,7 +242,7 @@ class TestJournalResume:
         with open(journal, "a", encoding="utf-8") as handle:
             handle.write('{"event": "cell", "name": "C880')  # killed mid-write
         state = journal_mod.load_journal(journal)
-        key = journal_mod.cell_key(SPEC, KIND.value, "C432s", 8, False, False)
+        key = _cell_key("C432s", verify=False)
         assert state.completed_row(key) is not None
 
     def test_malformed_interior_line_is_an_error(self, tmp_path):
@@ -274,7 +292,7 @@ class TestCleanRunEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Generic task pool (run_tasks_parallel)
+# Generic task pool (stream_jobs + collect_rows)
 # ----------------------------------------------------------------------
 
 
@@ -289,25 +307,32 @@ def _square_setup(offset):
     return runner
 
 
+def _pool(setup_args, payloads, labels=None, jobs=1, **policy):
+    labels = labels or [f"task{i}" for i in range(len(payloads))]
+    return collect_rows(
+        stream_jobs(
+            (StreamJob(label=label, payload=payload)
+             for label, payload in zip(labels, payloads)),
+            _task_bundle_factory,
+            (_square_setup, setup_args),
+            policy=RunPolicy.resolve(workers=jobs, **policy),
+            eager_bundles=(("task",),),
+        ),
+        labels,
+    )
+
+
 class TestGenericTaskPool:
     def test_results_in_payload_order(self):
-        from repro.perf.parallel import run_tasks_parallel
-
-        rows = run_tasks_parallel(
-            _square_setup, (10,), payloads=[3, 1, 4, 1, 5], jobs=3
-        )
+        rows = _pool((10,), payloads=[3, 1, 4, 1, 5], jobs=3)
         assert rows == [19, 11, 26, 11, 35]
 
     def test_empty_payloads(self):
-        from repro.perf.parallel import run_tasks_parallel
-
-        assert run_tasks_parallel(_square_setup, (0,), payloads=[]) == []
+        assert _pool((0,), payloads=[]) == []
 
     def test_task_error_becomes_failure_row(self):
-        from repro.perf.parallel import run_tasks_parallel
-
-        rows = run_tasks_parallel(
-            _square_setup, (0,), payloads=[2, "boom", 3],
+        rows = _pool(
+            (0,), payloads=[2, "boom", 3],
             labels=["a", "b", "c"], jobs=2, retries=1, backoff=0.0,
         )
         assert rows[0] == 4 and rows[2] == 9
@@ -318,18 +343,9 @@ class TestGenericTaskPool:
         assert failure.attempts == 2  # initial + one bounded retry
 
     def test_fault_injection_targets_labels(self, monkeypatch):
-        from repro.perf.parallel import run_tasks_parallel
-
         monkeypatch.setenv("REPRO_FAULT_INJECT", "flaky:t1")
-        rows = run_tasks_parallel(
-            _square_setup, (0,), payloads=[1, 2], labels=["t0", "t1"],
+        rows = _pool(
+            (0,), payloads=[1, 2], labels=["t0", "t1"],
             jobs=2, retries=2, backoff=0.0,
         )
         assert rows == [1, 4]  # flaky succeeds on retry
-
-    def test_label_count_mismatch_is_coded_error(self):
-        from repro.perf.parallel import run_tasks_parallel
-
-        with pytest.raises(RunnerConfigError, match=r"\[R002\]"):
-            run_tasks_parallel(_square_setup, (0,), payloads=[1],
-                               labels=["a", "b"])
