@@ -302,8 +302,8 @@ def scaling_experiment(
     """E10: mapper runtime vs subject size (Section 3.4 linearity).
 
     Maps the array-multiplier family; with the library fixed, labeling
-    work per node is bounded, so cpu/subject_gates should be roughly
-    constant.
+    work per node is bounded, so ``us_per_gate`` (mapping CPU time in
+    microseconds per subject gate) should be roughly constant.
     """
     patterns = PatternSet(library or lib2_like(), max_variants=max_variants)
     rows: List[Dict[str, float]] = []
@@ -315,7 +315,7 @@ def scaling_experiment(
                 "width": size,
                 "subject_gates": subject.n_gates,
                 "cpu": result.cpu_seconds,
-                "cpu_per_gate": result.cpu_seconds / max(1, subject.n_gates),
+                "us_per_gate": 1e6 * result.cpu_seconds / max(1, subject.n_gates),
                 "delay": result.delay,
             }
         )

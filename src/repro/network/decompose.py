@@ -135,17 +135,15 @@ def _substitute_var(tt: "TruthTable", j: int, i: int, negate: bool) -> "TruthTab
     values after hashing, which would otherwise let SOP literals collide
     into degenerate NAND2(x, x) nodes.
     """
-    from repro.network.functions import TruthTable
+    from repro.network.functions import TruthTable, variable_bits
 
-    n = tt.n_vars
-    bits = 0
-    for a in range(1 << n):
-        xi = (a >> i) & 1
-        forced = xi ^ int(negate)
-        a_sub = (a & ~(1 << j)) | (forced << j)
-        if tt.evaluate(a_sub):
-            bits |= 1 << a
-    return TruthTable(n, bits)
+    # Lanes where x_i is 1 read the cofactor at x_j = 1 (x_j = 0 when
+    # negated); the other lanes read the opposite cofactor.
+    on, off = tt.cofactor(j, 1).bits, tt.cofactor(j, 0).bits
+    if negate:
+        on, off = off, on
+    xi = variable_bits(i, tt.n_vars)
+    return TruthTable(tt.n_vars, (on & xi) | (off & ~xi))
 
 
 def _is_complement(a: SubjectNode, b: SubjectNode) -> bool:

@@ -284,9 +284,13 @@ def _tokenize(text: str) -> Iterator[_Token]:
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
         if match is None:
-            if text[pos:].strip() == "":
+            rest = text[pos:].lstrip()
+            if not rest:
                 return
-            raise ParseError(f"unexpected character {text[pos]!r} in expression")
+            column = len(text) - len(rest) + 1
+            raise ParseError(
+                f"unexpected character {rest[0]!r} at column {column} in expression"
+            )
         pos = match.end()
         if match.lastgroup == "ident":
             name = match.group("ident")

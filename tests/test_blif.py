@@ -104,6 +104,24 @@ class TestParsing:
         with pytest.raises(ParseError):
             loads_blif(".model a\n.model b\n.end\n")
 
+    @pytest.mark.parametrize("width", [21, 24])
+    def test_node_wider_than_truth_table_cap(self, width):
+        pis = " ".join(f"x{i}" for i in range(width))
+        text = (f".model w\n.inputs {pis}\n.outputs wide\n"
+                f".names {pis} wide\n{'1' * width} 1\n.end\n")
+        with pytest.raises(ParseError) as info:
+            loads_blif(text, filename="wide.blif")
+        assert info.value.line == 4
+        assert info.value.token == "wide"
+        assert f"{width} inputs" in info.value.bare_message
+        assert "at most 20 inputs" in info.value.bare_message
+
+    def test_node_at_truth_table_cap_parses(self):
+        pis = " ".join(f"x{i}" for i in range(20))
+        net = loads_blif(f".model w\n.inputs {pis}\n.outputs f\n"
+                         f".names {pis} f\n{'1' * 20} 1\n.end\n")
+        assert net.node("f").tt.n_vars == 20
+
     def test_end_stops_parsing(self):
         net = loads_blif(".model a\n.inputs x\n.outputs x\n.end\ngarbage here\n")
         assert net.pis == ["x"]

@@ -136,6 +136,19 @@ class TestBlifMalformed:
         assert "cover row" in diag.message
         assert diag.loc.line in (4, 5)  # attributed to the .names block
 
+    @pytest.mark.parametrize("width", [21, 24])
+    def test_node_wider_than_truth_table_cap_is_n000(self, width):
+        pis = " ".join(f"x{i}" for i in range(width))
+        source = (f".model w\n.inputs {pis}\n.outputs wide\n"
+                  f".names {pis} wide\n{'1' * width} 1\n.end\n")
+        report, net = lint_blif_source(source, filename="wide.blif")
+        assert net is None
+        assert codes(report) == ["N000"]
+        diag = report.by_code("N000")[0]
+        assert f"{width} inputs" in diag.message and "'wide'" in diag.message
+        assert diag.loc.file == "wide.blif"
+        assert diag.loc.line == 4
+
     def test_unsupported_construct_located(self):
         source = ".model x\n.inputs a\n.outputs y\n.gate inv O=y a=a\n.end\n"
         report, net = lint_blif_source(source)

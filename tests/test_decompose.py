@@ -1,13 +1,24 @@
 """Tests for technology decomposition (repro.network.decompose)."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.bench import circuits
+from repro.core.dag_mapper import map_dag
 from repro.errors import NetworkError
+from repro.library.builtin import lib2_like
+from repro.network.blif import loads_blif
 from repro.network.bnet import BooleanNetwork
-from repro.network.decompose import and_tree, decompose_network, nand_tree, or_tree
+from repro.network.decompose import (
+    _substitute_var,
+    and_tree,
+    decompose_network,
+    nand_tree,
+    or_tree,
+)
 from repro.network.functions import TruthTable
 from repro.network.simulate import check_equivalent
 from repro.network.subject import NodeType, SubjectGraph
@@ -171,3 +182,72 @@ def test_random_four_input_functions(bits):
     net.add_po("f")
     subject = decompose_network(net)
     check_equivalent(net, subject)
+
+
+def _substitute_reference(tt: TruthTable, j: int, i: int, negate: bool) -> TruthTable:
+    """The per-assignment loop ``_substitute_var`` replaced."""
+    bits = 0
+    for a in range(1 << tt.n_vars):
+        forced = ((a >> i) & 1) ^ int(negate)
+        if tt.evaluate((a & ~(1 << j)) | (forced << j)):
+            bits |= 1 << a
+    return TruthTable(tt.n_vars, bits)
+
+
+@st.composite
+def substitution_cases(draw):
+    """A table of 2..10 inputs, some vacuous, and two distinct inputs."""
+    n_vars = draw(st.integers(2, 10))
+    bits = draw(st.integers(0, (1 << (1 << n_vars)) - 1))
+    tt = TruthTable(n_vars, bits)
+    for var in draw(st.sets(st.integers(0, n_vars - 1), max_size=n_vars - 2)):
+        tt = tt.cofactor(var, draw(st.integers(0, 1)))
+    i, j = draw(st.permutations(range(n_vars)))[:2]
+    return tt, j, i
+
+
+@given(substitution_cases(), st.booleans())
+def test_substitute_var_matches_per_assignment_loop(case, negate):
+    tt, j, i = case
+    out = _substitute_var(tt, j, i, negate)
+    assert out == _substitute_reference(tt, j, i, negate)
+    assert not out.depends_on(j)
+
+
+def _wide_node_blif(n_inputs: int, rows) -> str:
+    pis = " ".join(f"p{i}" for i in range(n_inputs))
+    body = "\n".join(f"{row} 1" for row in rows)
+    return f".model wide\n.inputs {pis}\n.outputs f\n.names {pis} f\n{body}\n.end\n"
+
+
+def _random_cover(n_inputs: int, n_cubes: int, seed: int):
+    rng = random.Random(seed)
+    rows = set()
+    while len(rows) < n_cubes:
+        rows.add("".join(rng.choice("01--") for _ in range(n_inputs)))
+    return sorted(rows)
+
+
+class TestWideNodes:
+    """Wide ``.names`` nodes through decompose, lib2 mapping and equivalence.
+
+    Each case runs well under a second with the packed truth-table
+    kernels; a regression to per-minterm loops shows as a slow test.
+    """
+
+    @pytest.mark.parametrize(
+        "n_inputs, rows, subject_gates, mapped_gates",
+        [
+            (20, ["1" * 20], 38, 19),
+            (16, _random_cover(16, 24, seed=24), 341, 150),
+        ],
+        ids=["and20", "sop16x24"],
+    )
+    def test_decompose_map_and_check(self, n_inputs, rows, subject_gates, mapped_gates):
+        net = loads_blif(_wide_node_blif(n_inputs, rows))
+        subject = decompose_network(net)
+        assert subject.n_gates == subject_gates
+        check_equivalent(net, subject)
+        result = map_dag(subject, lib2_like(), max_variants=8)
+        assert result.netlist.gate_count() == mapped_gates
+        check_equivalent(net, result.netlist)

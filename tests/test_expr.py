@@ -55,6 +55,14 @@ class TestParsing:
             with pytest.raises(ParseError):
                 parse_expr(bad)
 
+    @pytest.mark.parametrize(
+        "text, char, column", [("a + $b", "$", 5), ("$", "$", 1), ("a\t#", "#", 3)]
+    )
+    def test_bad_character_located(self, text, char, column):
+        with pytest.raises(ParseError) as info:
+            parse_expr(text)
+        assert f"unexpected character {char!r} at column {column}" in str(info.value)
+
     def test_identifier_characters(self):
         expr = parse_expr("sig[3]*bus<1>")
         assert expr.support() == ["bus<1>", "sig[3]"]

@@ -84,7 +84,7 @@ class TestAblations:
     def test_scaling_rows(self):
         rows = scaling_experiment(sizes=(2, 3), library=mini_library())
         assert rows[0]["subject_gates"] < rows[1]["subject_gates"]
-        assert all(r["cpu_per_gate"] > 0 for r in rows)
+        assert all(r["us_per_gate"] > 0 for r in rows)
 
     def test_flowmap_rows(self):
         rows = flowmap_experiment(names=["C1908s"], ks=(4,))
