@@ -3,7 +3,7 @@
 The data linters of :mod:`repro.check` guard what the mapper *consumes*
 (netlists, libraries, certificates); this package guards the *code
 itself* — the coding rules that make the repository's byte-identical
-determinism promises (journal ``--resume`` replay, engine equality,
+determinism promises (journal ``--resume`` replay, serial == parallel,
 corpus replay) actually hold.  Every finding is a coded
 :class:`~repro.check.diagnostics.Diagnostic` (``S###`` codes,
 catalogued in ``docs/CHECKING.md``) with a real

@@ -40,7 +40,6 @@ def map_dag(
     cache: bool = True,
     matcher: Optional[Matcher] = None,
     check: bool = False,
-    engine: str = "structural",
     reuse: Optional[ReuseHook] = None,
 ) -> MappingResult:
     """Map a subject DAG directly, without tree decomposition.
@@ -65,9 +64,6 @@ def map_dag(
             returning; the report is attached as ``result.certificate``
             and :class:`~repro.errors.CertificateError` is raised when
             it contains error-severity diagnostics.
-        engine: candidate-pattern engine when ``matcher`` is ``None`` —
-            ``'structural'`` or ``'cuts'`` (NPN-table cut filter, same
-            result, rejects EXTENDED; see :class:`~repro.core.match.Matcher`).
         reuse: optional ECO splice hook forwarded to
             :func:`repro.core.labeling.compute_labels`; used by
             :func:`repro.eco.eco_remap` to retain labels of clean cones.
@@ -86,7 +82,6 @@ def map_dag(
         objective=objective,
         cache=cache,
         matcher=matcher,
-        engine=engine,
         reuse=reuse,
     )
     netlist = build_cover(labels, name=f"{subject.name}_dag")
@@ -107,7 +102,6 @@ def map_dag(
         library=patterns.library.name,
         n_matches=labels.n_matches,
         counters=labels.match_stats,
-        engine=matcher.engine if matcher is not None else engine,
     )
     if check:
         from repro.check.certificate import attach_certificate

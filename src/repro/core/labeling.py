@@ -97,7 +97,6 @@ def compute_labels(
     boundary_uids: Optional[Set[int]] = None,
     cache: bool = True,
     matcher: Optional[Matcher] = None,
-    engine: str = "structural",
     reuse: Optional[ReuseHook] = None,
 ) -> Labels:
     """Label every subject node with its optimal cost and best match.
@@ -122,10 +121,6 @@ def compute_labels(
             subject-independent, so sharing one across circuits amortises
             both the trie construction and the memoized match sets).
             Must have been constructed with the same patterns and kind.
-        engine: candidate-pattern engine when ``matcher`` is ``None`` —
-            ``'structural'`` (try every pattern) or ``'cuts'`` (the
-            NPN-table cut filter of :class:`~repro.core.match.Matcher`).
-            Both produce identical labels; ``'cuts'`` rejects EXTENDED.
         reuse: optional ECO splice hook (:data:`ReuseHook`).  Consulted
             for every internal node *before* matching; when it returns a
             ``(arrival, area_flow, match)`` triple the node's label is
@@ -159,7 +154,7 @@ def compute_labels(
             )
 
     if matcher is None:
-        matcher = Matcher(patterns, kind, cache=cache, engine=engine)
+        matcher = Matcher(patterns, kind, cache=cache)
     matcher.attach(subject)
     arrival: List[float] = [0.0] * n
     area_flow: List[float] = [0.0] * n

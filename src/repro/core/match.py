@@ -27,16 +27,13 @@ paper's footnote 2.
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, cast
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.core.cuts import CutEnumeration, cut_function, enumerate_cuts
 from repro.errors import MappingError
 from repro.library.gate import Gate
-from repro.library.npn_table import Chain, NPNTable, Shape, table_for
 from repro.library.patterns import PatternGraph, PatternNode, PatternSet
 from repro.network.bitsim import cone_words
-from repro.network.functions import TruthTable, variable_bits
-from repro.network.npn import npn_canonical
+from repro.network.functions import variable_bits
 from repro.network.subject import NodeType, SubjectGraph, SubjectNode
 from repro.perf.counters import MatchStats
 from repro.perf.signature import cone_signature
@@ -143,21 +140,8 @@ class Matcher:
     byte-identical, in content and order, to the uncached path
     (``cache=False``), which is preserved as the reference implementation.
 
-    ``engine`` selects how candidate patterns are found at a node:
-
-    * ``"structural"`` (default): every pattern with the right root kind
-      is tried, exactly as the paper describes.
-    * ``"cuts"``: two sound pre-filters of
-      :mod:`repro.library.npn_table` run first — k-feasible cuts of the
-      subject (:mod:`repro.core.cuts`) are NPN-canonised and compared
-      against each pattern's truncation chain (functional filter), and
-      the pattern's depth-capped tree shape must embed into the subject
-      cone's unfolding (structural filter, which sees the NAND2/INV
-      bracketing the functional one cannot).  Only surviving patterns
-      reach the binding enumerator.  Both filters are *sound* for
-      STANDARD/EXACT matches (a pruned pattern provably has no match),
-      so the match stream stays byte-identical to the structural engine;
-      EXTENDED matches are not injective and are refused.
+    Every pattern with the subject node's root kind is tried, exactly
+    as the paper describes.
     """
 
     def __init__(
@@ -167,81 +151,12 @@ class Matcher:
         cache: bool = True,
         stats: Optional[MatchStats] = None,
         crosscheck: bool = False,
-        engine: str = "structural",
-        npn_table: Optional[NPNTable] = None,
     ):
-        if engine not in ("structural", "cuts"):
-            raise MappingError(
-                f"unknown matching engine {engine!r}: "
-                "expected 'structural' or 'cuts'"
-            )
-        if engine == "cuts" and kind is MatchKind.EXTENDED:
-            raise MappingError(
-                "the cut matching engine supports standard/exact matches "
-                "only: extended matches are not injective, so the "
-                "truncation-chain filter is unsound for them"
-            )
         self.patterns = patterns
         self.kind = kind
         self.cache = cache
         self.crosscheck = crosscheck
-        self.engine = engine
         self.stats = stats if stats is not None else MatchStats()
-        self._engine_cuts = engine == "cuts"
-        if self._engine_cuts:
-            table = npn_table if npn_table is not None else table_for(patterns)
-            self.npn_table: Optional[NPNTable] = table
-            # Dense chain ids (distinct chains are few — tens for the
-            # 876-pattern 44-3 set) and, per root kind, the chain id of
-            # every pattern in ``for_root`` order, so the per-node filter
-            # is one list index per pattern.
-            chain_id: Dict[Chain, int] = {}
-            cid_of: Dict[int, int] = {}
-            self._chain_entries: List[Chain] = []
-            for pattern, chain in zip(patterns.patterns, table.chains):
-                cid = chain_id.get(chain)
-                if cid is None:
-                    cid = len(self._chain_entries)
-                    chain_id[chain] = cid
-                    self._chain_entries.append(chain)
-                cid_of[id(pattern)] = cid
-            self._chain_ids_by_kind: Dict[NodeType, List[int]] = {
-                root_kind: [cid_of[id(p)] for p in root_patterns]
-                for root_kind, root_patterns in patterns.by_root_kind.items()
-            }
-            # Shape interning: pattern shapes and (in attach) subject
-            # cone unfoldings share one id space, so the structural
-            # embed test memoizes on a pair of small ints.  Key ``None``
-            # marks the atoms — the "?" wildcard (id 0) and the subject
-            # PI marker (id 1); a 1-tuple is an INV, a 2-tuple a NAND
-            # with id-sorted children (equal sub-shapes get equal ids,
-            # so id order is a canonical order).
-            self._shape_intern: Dict[object, int] = {"?": 0, "P": 1}
-            self._shape_keys: List[Optional[Tuple[int, ...]]] = [None, None]
-            sid_of: Dict[int, int] = {}
-            for pattern, shape in zip(patterns.patterns, table.shapes):
-                sid_of[id(pattern)] = self._intern_pattern_shape(shape)
-            self._shape_ids_by_kind: Dict[NodeType, List[int]] = {
-                root_kind: [sid_of[id(p)] for p in root_patterns]
-                for root_kind, root_patterns in patterns.by_root_kind.items()
-            }
-            self._embed_memo: Dict[Tuple[int, int], bool] = {}
-            # Chain verdicts are a function of the node's cut classes
-            # alone, and the filtered pattern list a function of
-            # (verdict list, cone shape, root kind) — both memoized so
-            # structurally repetitive circuits pay the filter once per
-            # distinct cone.
-            self._allowed_by_classes: Dict[
-                FrozenSet[Tuple[Tuple[int, int], int]], List[bool]
-            ] = {}
-            self._no_info: List[bool] = [True] * len(self._chain_entries)
-            self._filtered_memo: Dict[
-                Tuple[int, int, NodeType], Tuple[List[PatternGraph], int]
-            ] = {}
-        else:
-            self.npn_table = None
-            self._chain_entries = []
-            self._chain_ids_by_kind = {}
         # Pattern-side fanout counts, needed for the exact-match condition.
         self._pattern_fanout: Dict[int, Dict[int, int]] = {}
         for pattern in patterns.patterns:
@@ -272,6 +187,12 @@ class Matcher:
             self._use_cap = 0
             self._sig_cache = None
 
+    @property
+    def engine(self) -> str:
+        """Always ``"structural"``: the one matching engine, kept for
+        callers that record it in a :class:`MappingResult`."""
+        return "structural"
+
     # ------------------------------------------------------------------
     def attach(self, subject: SubjectGraph) -> None:
         """Precompute subject-side data (fanout-use counts, depths)."""
@@ -299,187 +220,6 @@ class Matcher:
         # key is the interned subtree shape, so every pattern sharing the
         # shape shares the entry.
         self._feasible_cache: Dict[Tuple[int, int], bool] = {}
-        if self._engine_cuts:
-            table = self.npn_table
-            assert table is not None  # engine invariant
-            self._cut_enum: Optional[CutEnumeration] = enumerate_cuts(
-                subject, table.k, max_depth=table.depth_cap
-            )
-            self._allowed_cache: Dict[int, Optional[List[bool]]] = {}
-            # Depth-capped cone unfolding shape of every subject node,
-            # interned into the shared shape space.  d sweeps 1..cap;
-            # at each step a node's shape is its kind over the fanins'
-            # depth-(d-1) shapes, PIs stay atomic.
-            intern = self._intern_shape_key
-            wild, pi_marker = 0, 1
-            topo = subject.topological()
-            prev: List[int] = [wild] * len(subject.nodes)
-            for node in topo:
-                if node.is_pi:
-                    prev[node.uid] = pi_marker
-            for _ in range(table.depth_cap):
-                cur: List[int] = [wild] * len(subject.nodes)
-                for node in topo:
-                    if node.is_pi:
-                        cur[node.uid] = pi_marker
-                    elif node.kind is NodeType.INV:
-                        cur[node.uid] = intern((prev[node.fanins[0].uid],))
-                    else:
-                        a = prev[node.fanins[0].uid]
-                        b = prev[node.fanins[1].uid]
-                        if a > b:
-                            a, b = b, a
-                        cur[node.uid] = intern((a, b))
-                prev = cur
-            self._subject_shape: List[int] = prev
-
-    # ------------------------------------------------------------------
-    # Cut-engine candidate filter
-    # ------------------------------------------------------------------
-    def _intern_shape_key(self, key: object) -> int:
-        sid = self._shape_intern.get(key)
-        if sid is None:
-            sid = len(self._shape_keys)
-            self._shape_intern[key] = sid
-            self._shape_keys.append(cast(Tuple[int, ...], key))
-        return sid
-
-    def _intern_pattern_shape(self, shape: Shape) -> int:
-        """Intern one nested-tuple pattern shape into the id space."""
-        tag = shape[0]
-        if tag == "?":
-            return 0
-        if tag == "I":
-            child = self._intern_pattern_shape(cast(Shape, shape[1]))
-            return self._intern_shape_key((child,))
-        a = self._intern_pattern_shape(cast(Shape, shape[1]))
-        b = self._intern_pattern_shape(cast(Shape, shape[2]))
-        if a > b:
-            a, b = b, a
-        return self._intern_shape_key((a, b))
-
-    def _embed(self, pid: int, sid: int) -> bool:
-        """Can the truncated pattern shape embed into the subject cone?
-
-        A necessary condition for any injective match (edges and kinds
-        are preserved, and a pattern inner node can never sit on a PI),
-        checked against the subject's depth-capped unfolding.  The "?"
-        wildcard (pattern leaves and the truncation boundary) embeds
-        anywhere; NAND children try both pairings.  Memoized globally —
-        shape ids are stable across subjects.
-        """
-        if pid == 0:  # wildcard
-            return True
-        memo = self._embed_memo
-        memo_key = (pid, sid)
-        cached = memo.get(memo_key)
-        if cached is not None:
-            return cached
-        pk = self._shape_keys[pid]
-        sk = self._shape_keys[sid]
-        assert pk is not None  # pattern shapes contain no PI atom
-        if sk is None or len(pk) != len(sk):
-            result = False  # atomic subject (PI/boundary) or kind mismatch
-        elif len(pk) == 1:
-            result = self._embed(pk[0], sk[0])
-        else:
-            p1, p2 = pk
-            s1, s2 = sk
-            result = (self._embed(p1, s1) and self._embed(p2, s2)) or (
-                p1 != p2
-                and s1 != s2
-                and self._embed(p1, s2)
-                and self._embed(p2, s1)
-            )
-        memo[memo_key] = result
-        return result
-
-    def _allowed_chains(self, snode: SubjectNode) -> Optional[List[bool]]:
-        """Which truncation chains are satisfiable at ``snode``.
-
-        Indexed by dense chain id; ``None`` means "no information" (the
-        cut enumeration was truncated at or below this node, so every
-        pattern must be tried).  Cached per subject uid.
-        """
-        cache = self._allowed_cache
-        if snode.uid in cache:
-            return cache[snode.uid]
-        stats = self.stats
-        enum = self._cut_enum
-        assert enum is not None  # attach() ran
-        if snode.uid in enum.tainted:
-            stats.cut_tainted_nodes += 1
-            cache[snode.uid] = None
-            return None
-        stats.cut_filter_nodes += 1
-        # NPN class -> minimum derivation depth over the node's cuts.
-        classes: Dict[Tuple[int, int], int] = {}
-        for cut, depth in enum.at(snode).items():
-            if len(cut) == 1 and next(iter(cut)) is snode:
-                continue  # trivial cut: carries no functional information
-            order = sorted(cut, key=lambda leaf: leaf.uid)
-            n = len(order)
-            canonical, _ = npn_canonical(
-                TruthTable(n, cut_function(snode, order))
-            )
-            class_key = (n, canonical.bits)
-            old = classes.get(class_key)
-            if old is None or depth < old:
-                classes[class_key] = depth
-        # Chain verdicts depend on the classes alone: nodes sharing a
-        # class set share one verdict list (by identity, which also
-        # keys the filtered-pattern memo).
-        class_key = frozenset(classes.items())
-        allowed = self._allowed_by_classes.get(class_key)
-        if allowed is None:
-            allowed = []
-            for chain in self._chain_entries:
-                ok = True
-                for t, n, bits in chain:
-                    found = classes.get((n, bits))
-                    if found is None or found > t:
-                        ok = False
-                        break
-                allowed.append(ok)
-            self._allowed_by_classes[class_key] = allowed
-        cache[snode.uid] = allowed
-        return allowed
-
-    def _filtered_patterns(self, snode: SubjectNode) -> List[PatternGraph]:
-        """Patterns worth trying at ``snode``, in pattern-set order.
-
-        The structural engine returns the full root-kind list; the cut
-        engine drops patterns whose truncation chain no cut of ``snode``
-        can satisfy, and patterns whose tree shape cannot embed into the
-        node's cone unfolding.  Dropping never reorders, so both engines
-        feed the identity dedup the same match stream.  The filtered
-        list is memoized per (chain verdicts, cone shape, root kind).
-        """
-        root_patterns = self.patterns.for_root(snode.kind)
-        if not self._engine_cuts:
-            return root_patterns
-        allowed = self._allowed_chains(snode)
-        if allowed is None:
-            # Tainted cut enumeration: no functional information, but
-            # the shape filter is cut-independent and still sound.
-            allowed = self._no_info
-        sid = self._subject_shape[snode.uid]
-        memo_key = (id(allowed), sid, snode.kind)
-        hit = self._filtered_memo.get(memo_key)
-        if hit is None:
-            chain_ids = self._chain_ids_by_kind[snode.kind]
-            shape_ids = self._shape_ids_by_kind[snode.kind]
-            kept = [
-                pattern
-                for pattern, cid, psid in zip(
-                    root_patterns, chain_ids, shape_ids
-                )
-                if allowed[cid] and self._embed(psid, sid)
-            ]
-            hit = (kept, len(root_patterns) - len(kept))
-            self._filtered_memo[memo_key] = hit
-        self.stats.cut_patterns_pruned += hit[1]
-        return hit[0]
 
     def _feasible(self, pnode: PatternNode, snode: SubjectNode) -> bool:
         """Binding-independent embeddability of a pattern subtree."""
@@ -565,7 +305,7 @@ class Matcher:
         results: List[Match] = []
         seen: Set[Tuple[object, ...]] = set()
         depth = self._depth[snode.uid]
-        for pattern in self._filtered_patterns(snode):
+        for pattern in self.patterns.for_root(snode.kind):
             if pattern.depth > depth:
                 continue  # the pattern cannot fit above the PIs
             for binding in self._enumerate(pattern, snode):
@@ -590,7 +330,7 @@ class Matcher:
         assert self._trie is not None  # cache=True invariant
         group_of = self._trie.group_of
         group_bindings: Dict[int, List[Dict[int, SubjectNode]]] = {}
-        for pattern in self._filtered_patterns(snode):
+        for pattern in self.patterns.for_root(snode.kind):
             if pattern.depth > depth:
                 continue  # the pattern cannot fit above the PIs
             group = group_of[id(pattern)]

@@ -29,9 +29,8 @@ class MappingResult:
         match_kind: the match class used.
         library: library name.
         n_matches: matches enumerated during labeling (work measure).
-        engine: candidate-pattern engine the matcher ran
-            (``'structural'`` or ``'cuts'``; both yield identical
-            delay/area — the field records which path produced this run).
+        engine: always ``'structural'``, the one matching engine; kept
+            so callers that record the matcher's engine still work.
         counters: per-run instrumentation from the :mod:`repro.perf`
             layer (signature-cache hits/misses, feasibility-cache hits,
             bindings enumerated); ``None`` when unavailable.
@@ -68,7 +67,6 @@ class MappingResult:
             "gates": self.netlist.gate_count(),
             "cpu_s": round(self.cpu_seconds, 3),
             "matches": self.n_matches,
-            "engine": self.engine,
         }
         if self.counters is not None:
             out["signature_hit_rate"] = self.counters.get("signature_hit_rate")

@@ -49,7 +49,6 @@ def map_tree(
     cache: bool = True,
     matcher: Optional[Matcher] = None,
     check: bool = False,
-    engine: str = "structural",
 ) -> MappingResult:
     """Map via conventional tree covering (exact matches, no duplication).
 
@@ -57,8 +56,6 @@ def map_tree(
     caches exactly as in :func:`repro.core.dag_mapper.map_dag`, and
     ``check=True`` certifies the result the same way (the report lands on
     ``result.certificate``; errors raise ``CertificateError``).
-    ``engine`` likewise mirrors :func:`~repro.core.dag_mapper.map_dag`
-    (the cut filter is sound for the EXACT matches used here).
     """
     if isinstance(library, PatternSet):
         patterns = library
@@ -77,7 +74,6 @@ def map_tree(
         boundary_uids=boundary,
         cache=cache,
         matcher=matcher,
-        engine=engine,
     )
     netlist = build_cover(labels, name=f"{subject.name}_tree")
     elapsed = time.perf_counter() - start
@@ -97,7 +93,6 @@ def map_tree(
         library=patterns.library.name,
         n_matches=labels.n_matches,
         counters=labels.match_stats,
-        engine=matcher.engine if matcher is not None else engine,
     )
     if check:
         from repro.check.certificate import attach_certificate

@@ -19,7 +19,7 @@ remaps such an edit incrementally:
 Correctness contract (enforced by fuzz oracle F011 and the ``eco``
 campaign mode): the result is **byte-identical** — same delay, same
 area, same mapped-BLIF cover — to a from-scratch ``map_dag`` of the
-edited network with the same patterns, kind and engine.  The argument is
+edited network with the same patterns and kind.  The argument is
 an induction over the edited subject in topological order: equal eco
 keys imply equal cone structure and equal leaf arrivals, hence the same
 match stream (modulo rebinding through the canonical cone ordering) and
@@ -131,7 +131,7 @@ def eco_remap(
 
     Args:
         base: the base network's mapping — a ``map_dag`` result with the
-            ``delay`` objective.  Kind and engine are inherited from it.
+            ``delay`` objective.  The match kind is inherited from it.
         edited: the edited network (decomposed with ``decompose`` style)
             or a pre-built subject graph.
         library: the *same* library (or pattern set) the base run used;
@@ -159,7 +159,6 @@ def eco_remap(
     started = time.perf_counter()
     _require_delay_dag_base(base)
     kind = MatchKind(base.match_kind)
-    engine = base.engine
 
     if isinstance(library, PatternSet):
         patterns = library
@@ -239,7 +238,6 @@ def eco_remap(
         cache=True,
         matcher=matcher,
         check=check,
-        engine=engine,
         reuse=reuse,
     )
 

@@ -46,9 +46,9 @@ class EnvVar:
 
     Attributes:
         name: the full ``REPRO_*`` variable name.
-        kind: value type, one of ``"int"``, ``"float"``, ``"str"``,
-            ``"path"`` (documentation; the accessor used at the call
-            site is what parses).
+        kind: value type, one of ``"int"``, ``"float"``, ``"str"``
+            (documentation; the accessor used at the call site is what
+            parses).
         default: human-readable default, for docs and ``--help`` text
             (``None`` = unset means the feature is off).
         description: one line on what the variable controls.
@@ -81,10 +81,6 @@ REGISTRY: Dict[str, EnvVar] = _registry(
             "PRNG seed for the random simulation batch",
         ),
         EnvVar(
-            "REPRO_NPN_CACHE_DIR", "path", "~/.cache/repro/npn",
-            "persistent side-cache directory for precomputed NPN tables",
-        ),
-        EnvVar(
             "REPRO_CELL_TIMEOUT", "float", None,
             "per-job wall-clock budget (seconds) in the batch runner",
         ),
@@ -102,7 +98,7 @@ REGISTRY: Dict[str, EnvVar] = _registry(
         ),
         EnvVar(
             "REPRO_FUZZ_INJECT", "str", None,
-            "deterministic fuzz-oracle mutation: delay|cover|corrupt|engine",
+            "deterministic fuzz-oracle mutation: delay|cover|corrupt|eco",
         ),
         EnvVar(
             "REPRO_TUNE_SEED", "int", "2024",

@@ -20,10 +20,6 @@ repository has accumulated, and every disagreement becomes a coded
 ``F006``  a mapper raised instead of producing a result;
 ``F007``  the generated network (or its subject graph) fails the
           structural linters — a generator defect, not a mapper one;
-``F009``  the cut-enumeration matching engine (``engine="cuts"``)
-          produces a different delay, area or cover than the structural
-          engine on either mapper — the engines are specified to be
-          byte-identical, so any divergence is a filter-soundness bug;
 ``F010``  area recovery or multimap violates its contract: a recovered
           cover fails the target-aware mapping certificate, misses its
           delay budget or is larger than the plain cover, or the
@@ -33,7 +29,7 @@ repository has accumulated, and every disagreement becomes a coded
           edit script is derived from the circuit, applied, and
           :func:`repro.eco.eco_remap` of the edited network against the
           unmutated base mapping must be byte-identical (delay, area,
-          mapped-BLIF cover) to a fresh ``map_dag`` — per engine.
+          mapped-BLIF cover) to a fresh ``map_dag``.
 
 The battery never raises on a failing circuit; it reports.  Deterministic
 fault injection for tests and CI mirrors the batch runner's
@@ -42,7 +38,6 @@ fault injection for tests and CI mirrors the batch runner's
     REPRO_FUZZ_INJECT=delay    # mis-report the DAG delay (F001/F004)
     REPRO_FUZZ_INJECT=cover    # corrupt one selected match (F004, F002)
     REPRO_FUZZ_INJECT=corrupt  # functionally corrupt one output (F002)
-    REPRO_FUZZ_INJECT=engine   # skew the cut-engine re-map (F009)
     REPRO_FUZZ_INJECT=eco      # skew the incremental re-map (F011)
 
 Each mutation is applied to the mapping result *inside* the battery, so
@@ -53,7 +48,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import env
 from repro.check import certify_mapping, lint_network, lint_subject
@@ -67,7 +62,6 @@ from repro.library.patterns import PatternSet
 from repro.network import bitsim
 from repro.network.bnet import BooleanNetwork
 from repro.network.decompose import decompose_network
-from repro.network.subject import SubjectGraph
 from repro.network.simulate import (
     exhaustive_equivalence,
     random_equivalence,
@@ -81,7 +75,7 @@ __all__ = ["OracleConfig", "run_battery", "INJECT_MODES", "FUZZ_INJECT_ENV"]
 FUZZ_INJECT_ENV = "REPRO_FUZZ_INJECT"
 
 #: The supported mutation classes (see the module docstring).
-INJECT_MODES: Tuple[str, ...] = ("delay", "cover", "corrupt", "engine", "eco")
+INJECT_MODES: Tuple[str, ...] = ("delay", "cover", "corrupt", "eco")
 
 _EPS = 1e-9
 
@@ -100,9 +94,6 @@ class OracleConfig:
             size (random covers get slow and weak on big graphs).
         scalar_max_inputs: skip the scalar/packed differential (F003)
             above this input count (the scalar engine is ~100x slower).
-        cross_engines: run the F009 structural-vs-cuts differential
-            (skipped automatically for the extended match class, which
-            the cut engine refuses by design).
         contract_max_gates: skip the F010 recovery/multimap contract
             probe above this subject size (multimap maps the circuit
             once per decomposition style).
@@ -116,7 +107,6 @@ class OracleConfig:
     optimality_trials: int = 8
     optimality_max_gates: int = 120
     scalar_max_inputs: int = 10
-    cross_engines: bool = True
     contract_max_gates: int = 200
     inject: Optional[str] = None
 
@@ -206,8 +196,8 @@ def _apply_injection(
     patterns: PatternSet,
     report: CheckReport,
 ) -> None:
-    if mode is None or mode in ("engine", "eco"):
-        return  # "engine"/"eco" are applied inside their own oracles
+    if mode is None or mode == "eco":
+        return  # "eco" is applied inside its own oracle
     if mode == "delay":
         what = _inject_delay(result)
     elif mode == "cover":
@@ -280,85 +270,9 @@ def _check_engines(
                 break
 
 
-def _cover_multiset(result: MappingResult) -> List[Tuple[str, Tuple[str, ...]]]:
-    """The cover as a comparable multiset of (cell, input signals)."""
-    return sorted(
-        (gate.gate.name, tuple(gate.inputs)) for gate in result.netlist.gates
-    )
-
-
-def _check_engine_agreement(
-    report: CheckReport,
-    subject: SubjectGraph,
-    patterns: PatternSet,
-    kind: MatchKind,
-    tree_result: MappingResult,
-    dag_result: MappingResult,
-    inject: Optional[str],
-) -> None:
-    """F009: the cut engine must reproduce the structural engine's result.
-
-    Re-maps the subject with ``engine="cuts"`` (both mappers) and
-    compares delay, area and the selected cover against the structural
-    results.  The engines are specified byte-identical for
-    standard/exact matches, so any divergence is an error; extended
-    matches are skipped (the cut engine refuses them).  Runs *before*
-    any result mutation so the other injection modes cannot trip it.
-    """
-    if kind is MatchKind.EXTENDED:
-        return
-    pairs = (
-        ("tree", tree_result,
-         lambda: map_tree(subject, patterns, engine="cuts")),
-        ("DAG", dag_result,
-         lambda: map_dag(subject, patterns, kind=kind, engine="cuts")),
-    )
-    for tag, structural, remap in pairs:
-        try:
-            cut = remap()
-        except Exception as exc:
-            report.add(
-                "F009",
-                f"{tag} cut-engine mapping raised "
-                f"{type(exc).__name__}: {exc}",
-                obj=subject.name,
-            )
-            continue
-        if inject == "engine":
-            cut.delay += 1.0
-            report.meta["inject"] = "engine"
-            report.meta["inject_detail"] = (
-                "cut-engine reported delay inflated by 1.0"
-            )
-        if abs(cut.delay - structural.delay) > _EPS:
-            report.add(
-                "F009",
-                f"{tag} delay diverges: cuts {cut.delay:.4f} != "
-                f"structural {structural.delay:.4f}",
-                obj=subject.name,
-            )
-            continue
-        if abs(cut.area - structural.area) > _EPS:
-            report.add(
-                "F009",
-                f"{tag} area diverges: cuts {cut.area:.4f} != "
-                f"structural {structural.area:.4f}",
-                obj=subject.name,
-            )
-            continue
-        if _cover_multiset(cut) != _cover_multiset(structural):
-            report.add(
-                "F009",
-                f"{tag} cover diverges between engines "
-                f"(same delay/area, different gate selection)",
-                obj=subject.name,
-            )
-
-
 def _check_eco(
     report: CheckReport,
     net: BooleanNetwork,
-    subject: SubjectGraph,
     patterns: PatternSet,
     kind: MatchKind,
     config: OracleConfig,
@@ -371,10 +285,10 @@ def _check_eco(
     (:func:`repro.fuzz.generator.derive_edit_seed`, so shrunken
     candidates re-derive valid scripts), applies it, and compares
     ``eco_remap`` against a fresh ``map_dag`` of the edited network —
-    with exact ``==`` on delay, area and the mapped-BLIF text, per
-    engine.  Runs *before* any result mutation, against the unmutated
-    structural base; the ``eco`` injection mode skews the incremental
-    result inside this oracle only.
+    with exact ``==`` on delay, area and the mapped-BLIF text.  Runs
+    *before* any result mutation, against the unmutated base; the
+    ``eco`` injection mode skews the incremental result inside this
+    oracle only.
     """
     from repro.eco import eco_remap
     from repro.errors import NetworkError
@@ -389,79 +303,59 @@ def _check_eco(
         return
     report.meta["eco_script"] = script.encode()
 
-    engines = ["structural"]
-    if config.cross_engines and kind is not MatchKind.EXTENDED:
-        engines.append("cuts")
-    for engine in engines:
-        if engine == "structural":
-            base = dag_result
-        else:
-            try:
-                base = map_dag(subject, patterns, kind=kind, engine="cuts")
-            except Exception as exc:
-                report.add(
-                    "F011",
-                    f"cuts base mapping raised {type(exc).__name__}: {exc}",
-                    obj=net.name,
-                )
-                continue
-        try:
-            eco = eco_remap(
-                base, edited, patterns, decompose=config.decompose
-            )
-        except Exception as exc:
-            report.add(
-                "F011",
-                f"{engine} eco remap raised {type(exc).__name__}: {exc}",
-                obj=net.name,
-            )
-            continue
-        try:
-            scratch = map_dag(
-                decompose_network(edited, style=config.decompose),
-                patterns,
-                kind=kind,
-                engine=engine,
-            )
-        except Exception as exc:
-            report.add(
-                "F011",
-                f"{engine} from-scratch remap raised "
-                f"{type(exc).__name__}: {exc}",
-                obj=net.name,
-            )
-            continue
-        result = eco.result
-        if inject == "eco" and engine == engines[0]:
-            result.delay += 1.0
-            report.meta["inject"] = "eco"
-            report.meta["inject_detail"] = (
-                "incremental reported delay inflated by 1.0"
-            )
-        if result.delay != scratch.delay:
-            report.add(
-                "F011",
-                f"{engine} delay diverges: eco {result.delay!r} != "
-                f"from-scratch {scratch.delay!r} "
-                f"(reused {eco.nodes_reused}/{eco.nodes_reused + eco.nodes_remapped})",
-                obj=net.name,
-            )
-        elif result.area != scratch.area:
-            report.add(
-                "F011",
-                f"{engine} area diverges: eco {result.area!r} != "
-                f"from-scratch {scratch.area!r}",
-                obj=net.name,
-            )
-        elif dumps_mapped_blif(result.netlist) != dumps_mapped_blif(
-            scratch.netlist
-        ):
-            report.add(
-                "F011",
-                f"{engine} cover diverges between incremental and "
-                f"from-scratch mapping (same delay/area)",
-                obj=net.name,
-            )
+    try:
+        eco = eco_remap(dag_result, edited, patterns, decompose=config.decompose)
+    except Exception as exc:
+        report.add(
+            "F011",
+            f"eco remap raised {type(exc).__name__}: {exc}",
+            obj=net.name,
+        )
+        return
+    try:
+        scratch = map_dag(
+            decompose_network(edited, style=config.decompose),
+            patterns,
+            kind=kind,
+        )
+    except Exception as exc:
+        report.add(
+            "F011",
+            f"from-scratch remap raised {type(exc).__name__}: {exc}",
+            obj=net.name,
+        )
+        return
+    result = eco.result
+    if inject == "eco":
+        result.delay += 1.0
+        report.meta["inject"] = "eco"
+        report.meta["inject_detail"] = (
+            "incremental reported delay inflated by 1.0"
+        )
+    if result.delay != scratch.delay:
+        report.add(
+            "F011",
+            f"delay diverges: eco {result.delay!r} != "
+            f"from-scratch {scratch.delay!r} "
+            f"(reused {eco.nodes_reused}/{eco.nodes_reused + eco.nodes_remapped})",
+            obj=net.name,
+        )
+    elif result.area != scratch.area:
+        report.add(
+            "F011",
+            f"area diverges: eco {result.area!r} != "
+            f"from-scratch {scratch.area!r}",
+            obj=net.name,
+        )
+    elif dumps_mapped_blif(result.netlist) != dumps_mapped_blif(
+        scratch.netlist
+    ):
+        report.add(
+            "F011",
+            "cover diverges between incremental and from-scratch "
+            "mapping (same delay/area)",
+            obj=net.name,
+        )
 
 
 def _check_certificate(
@@ -721,18 +615,11 @@ def run_battery(
     if dag_result is None or tree_result is None:
         return report
 
-    # F009 runs against the *unmutated* structural results, so the
-    # injection modes below cannot trip it (and "engine" only it).
-    if config.cross_engines:
-        _check_engine_agreement(
-            report, subject, patterns, kind, tree_result, dag_result, inject
-        )
-
     # F011 also runs before mutation: eco reuses the unmutated dag_result
     # as its base mapping, and only the "eco" mode skews it (inside).
     if subject.n_gates <= config.contract_max_gates:
         _check_eco(
-            report, net, subject, patterns, kind, config, dag_result, inject
+            report, net, patterns, kind, config, dag_result, inject
         )
 
     _apply_injection(inject, dag_result, patterns, report)

@@ -99,7 +99,6 @@ def tree_vs_dag_cell(
     verify: bool = True,
     cache: bool = True,
     check: bool = False,
-    engine: str = "structural",
 ) -> ComparisonRow:
     """One (circuit, library) cell of a tree-vs-DAG table: both mappers.
 
@@ -109,15 +108,12 @@ def tree_vs_dag_cell(
     scheduled.  ``check=True`` runs the :mod:`repro.check` certificate
     on both mapping results (raising
     :class:`~repro.errors.CertificateError` on any error).
-    ``engine`` selects the matcher's candidate engine (``'structural'``
-    or ``'cuts'``); rows are identical either way.
     """
     entry = SUITE[name]
     net = entry.build()
     subject = decompose_network(net)
-    tree = map_tree(subject, patterns, cache=cache, check=check, engine=engine)
-    dag = map_dag(subject, patterns, kind=kind, cache=cache, check=check,
-                  engine=engine)
+    tree = map_tree(subject, patterns, cache=cache, check=check)
+    dag = map_dag(subject, patterns, kind=kind, cache=cache, check=check)
     verified = False
     sim_counters: Optional[Dict[str, float]] = None
     if verify:
@@ -155,7 +151,6 @@ def run_tree_vs_dag(
     jobs: int = 1,
     library_spec: Optional[str] = None,
     check: bool = False,
-    engine: str = "structural",
     cell_timeout: Optional[float] = None,
     retries: Optional[int] = None,
     journal: Optional[str] = None,
@@ -201,7 +196,6 @@ def run_tree_vs_dag(
                 library=library_spec,
                 mode="compare",
                 kind=kind.value,
-                engine=engine,
                 max_variants=max_variants,
                 verify=verify,
                 check=check,
@@ -226,7 +220,7 @@ def run_tree_vs_dag(
     return [
         tree_vs_dag_cell(
             name, patterns, kind=kind, verify=verify, cache=cache,
-            check=check, engine=engine,
+            check=check,
         )
         for name in names
     ]

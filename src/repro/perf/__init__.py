@@ -27,7 +27,7 @@ enforced byte-identical to the seed path by the test suite:
   completion-order result emission, plus :func:`collect_rows` for
   job-order results.
 * :mod:`repro.perf.campaign` — mapping campaigns over the stream
-  engine: heterogeneous (circuit, library, mode, engine) jobs from a
+  engine: heterogeneous (circuit, library, mode, kind) jobs from a
   JSONL manifest, a seeded ensemble or the paper's tables (``compare``
   jobs), journalled (:mod:`repro.perf.journal`) so ``--resume`` re-runs
   only what is missing; exposed as ``repro-map campaign`` and

@@ -4,10 +4,10 @@ A *campaign job* is one mapping run — a circuit (suite name, BLIF file
 or generated seed), a library spec, a mapper mode and the matcher
 options — and a campaign is an arbitrarily long stream of such jobs
 fanned over the streaming engine of :mod:`repro.perf.stream`.  Jobs
-sharing a cache bundle key (``library``, ``max_variants``, ``kind``,
-``engine``) reuse the worker's pattern trie / NPN-class table / matcher
-memos instead of rebuilding them per process; that amortisation is the
-whole point (``benchmarks/bench_throughput.py`` gates it).
+sharing a cache bundle key (``library``, ``max_variants``, ``kind``)
+reuse the worker's pattern set instead of rebuilding it per process;
+that amortisation is the whole point (``benchmarks/bench_throughput.py``
+gates it).
 
 Results are :class:`CampaignRow` dataclasses whose :meth:`~CampaignRow.stable`
 view (everything except the timing field) is **byte-identical** however
@@ -96,7 +96,6 @@ class CampaignJob:
             or ``"compare"`` (one Table 1-3 cell: tree and DAG mapper
             on a suite circuit, returning a ``ComparisonRow``).
         kind: match kind for the DAG mapper.
-        engine: matcher candidate engine (``structural``/``cuts``).
         max_variants: pattern variants per gate.
         verify: simulate the mapped netlist against its source.
         check: run the mapping certificate inside the worker (for
@@ -119,7 +118,6 @@ class CampaignJob:
     library: str = "lib2"
     mode: str = "dag"
     kind: str = "standard"
-    engine: str = "structural"
     max_variants: int = 8
     verify: bool = False
     check: bool = False
@@ -130,7 +128,7 @@ class CampaignJob:
 
     def bundle(self) -> Tuple[object, ...]:
         """The cache-bundle key this job needs in its worker."""
-        return (self.library, int(self.max_variants), self.kind, self.engine)
+        return (self.library, int(self.max_variants), self.kind)
 
     def key(self) -> CellKey:
         """The journal identity: every field except ``weight``."""
@@ -148,7 +146,7 @@ class CampaignRow:
     Attributes:
         label: the job label.
         circuit: the source network's name.
-        mode / kind / engine / library: echo of the job options.
+        mode / kind / library: echo of the job options.
         subject_gates: NAND2/INV nodes of the decomposed subject.
         delay: mapped delay (load-independent model).
         area: total cell area.
@@ -169,7 +167,6 @@ class CampaignRow:
     circuit: str
     mode: str
     kind: str
-    engine: str
     library: str
     subject_gates: int
     delay: float
@@ -259,7 +256,6 @@ def _campaign_row(
         circuit=getattr(net, "name", job.label),
         mode=job.mode,
         kind=job.kind,
-        engine=job.engine,
         library=job.library,
         subject_gates=subject_gates,
         delay=delay,
@@ -282,7 +278,7 @@ def _dag_map(job: CampaignJob, patterns: Any, net: Any, check: bool = False) -> 
     subject = decompose_network(net, style=job.decompose)
     return map_dag(
         subject, patterns, kind=MatchKind(job.kind), cache=job.cache,
-        check=check, engine=job.engine,
+        check=check,
     )
 
 
@@ -301,10 +297,7 @@ def _map_tree(job: CampaignJob, patterns: Any) -> CampaignRow:
 
     net = _build_network(job)
     subject = decompose_network(net, style=job.decompose)
-    result = map_tree(
-        subject, patterns, cache=job.cache, check=job.check,
-        engine=job.engine,
-    )
+    result = map_tree(subject, patterns, cache=job.cache, check=job.check)
     return _campaign_row(
         job, net, result.netlist, result.delay, result.area,
         result.cpu_seconds, subject.n_gates, result.n_matches,
@@ -346,9 +339,7 @@ def _map_multi(job: CampaignJob, patterns: Any) -> CampaignRow:
     from repro.core.multimap import map_multi_decomposition
 
     net = _build_network(job)
-    multi = map_multi_decomposition(
-        net, patterns, kind=MatchKind(job.kind), engine=job.engine,
-    )
+    multi = map_multi_decomposition(net, patterns, kind=MatchKind(job.kind))
     if job.check:
         from repro.check.certificate import attach_certificate
 
@@ -408,7 +399,6 @@ def _map_compare(job: CampaignJob, patterns: Any) -> object:
     return tree_vs_dag_cell(
         job.source[1], patterns, kind=MatchKind(job.kind),
         verify=job.verify, cache=job.cache, check=job.check,
-        engine=job.engine,
     )
 
 
@@ -433,23 +423,18 @@ def _run_campaign_job(job: CampaignJob, patterns: Any) -> object:
 def _mapping_bundle_factory() -> Callable[[tuple], Callable[[object], object]]:
     """Per-worker bundle factory for mapping campaigns.
 
-    One bundle per distinct ``(library, max_variants, kind, engine)``:
-    the pattern trie plus — for the cuts engine — the persistent
-    NPN-class table.  Jobs only carry the key; the heavy state never
+    One bundle per distinct ``(library, max_variants, kind)``: the
+    pattern set.  Jobs only carry the key; the heavy state never
     crosses the process boundary.
     """
 
     def build(bundle_key: tuple) -> Callable[[object], object]:
         from repro.library.patterns import PatternSet
 
-        library_spec, max_variants, _kind, engine = bundle_key
+        library_spec, max_variants, _kind = bundle_key
         patterns = PatternSet(
             resolve_library(library_spec), max_variants=max_variants
         )
-        if engine == "cuts":
-            from repro.library.npn_table import table_for
-
-            table_for(patterns)
 
         def runner(job: object) -> object:
             return _run_campaign_job(job, patterns)  # type: ignore[arg-type]
@@ -470,12 +455,33 @@ def _generator_json(**knobs: object) -> str:
     return json.dumps(config.as_dict(), sort_keys=True)
 
 
+def _entry_number(
+    entry: Dict[str, Any],
+    name: str,
+    default: Any,
+    convert: Callable[[Any], Any],
+    where: str,
+) -> Any:
+    """``convert(entry[name])``, or ``default`` when the entry has no
+    ``name``; a value ``convert`` rejects is a located R002."""
+    if name not in entry:
+        return default
+    value = entry[name]
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise RunnerConfigError(
+            f"[R002] campaign manifest {where}: {name} must be "
+            f"{'an integer' if convert is int else 'a number'}, "
+            f"got {value!r}"
+        ) from None
+
+
 def load_manifest(
     path: str,
     library: str = "lib2",
     mode: str = "dag",
     kind: str = "standard",
-    engine: str = "structural",
     max_variants: int = 8,
     verify: bool = False,
     check: bool = False,
@@ -487,14 +493,18 @@ def load_manifest(
     ``{"seed": 7}`` (optionally with generator knobs ``inputs``/
     ``nodes``/``outputs``/``reconvergence``/``fanout_skew``/
     ``depth_bias``) — plus optional per-job overrides (``label``,
-    ``library``, ``mode``, ``kind``, ``engine``, ``max_variants``,
-    ``verify``, ``check``, ``decompose``, ``target``, ``weight``).  The
-    keyword arguments are the defaults a line inherits.  An entry's
+    ``library``, ``mode``, ``kind``, ``max_variants``, ``verify``,
+    ``check``, ``decompose``, ``target``, ``weight``).  The keyword
+    arguments are the defaults a line inherits.  ``seed``,
+    ``max_variants`` and ``weight`` must convert with ``int()``,
+    ``target`` with ``float()``, and the generator knobs must satisfy
+    :class:`~repro.fuzz.generator.FuzzConfig`.  An entry's
     effective weight is scaled by its mode's :data:`MODE_WEIGHT`
     multiplier (recovery and multimap jobs cost more than plain runs).
 
     Raises:
-        RunnerConfigError: unreadable file or malformed entry (``R002``).
+        RunnerConfigError: unreadable file or malformed entry (``R002``,
+            located as ``<path>:<line>``).
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -524,7 +534,14 @@ def load_manifest(
                 f"[R002] campaign manifest {path}:{lineno}: need exactly "
                 f"one of circuit/blif/seed, got {sources or 'none'}"
             )
-        weight = int(entry.get("weight", 0))
+        where = f"{path}:{lineno}"
+        if "engine" in entry:
+            raise RunnerConfigError(
+                f"[R002] campaign manifest {where}: the 'engine' field "
+                "no longer exists (there is one matching engine); "
+                "remove it"
+            )
+        weight = _entry_number(entry, "weight", 0, int, where)
         if "circuit" in entry:
             source: Tuple[str, ...] = ("suite", str(entry["circuit"]))
             stem = str(entry["circuit"])
@@ -532,18 +549,25 @@ def load_manifest(
             source = ("blif", str(entry["blif"]))
             stem = os.path.splitext(os.path.basename(str(entry["blif"])))[0]
         else:
-            gen_json = _generator_json(
-                n_inputs=entry.get("inputs"),
-                n_nodes=entry.get("nodes"),
-                n_outputs=entry.get("outputs"),
-                reconvergence=entry.get("reconvergence"),
-                fanout_skew=entry.get("fanout_skew"),
-                depth_bias=entry.get("depth_bias"),
-            )
-            source = ("seed", str(int(entry["seed"])), gen_json)
-            stem = f"s{int(entry['seed'])}"
+            try:
+                gen_json = _generator_json(
+                    n_inputs=entry.get("inputs"),
+                    n_nodes=entry.get("nodes"),
+                    n_outputs=entry.get("outputs"),
+                    reconvergence=entry.get("reconvergence"),
+                    fanout_skew=entry.get("fanout_skew"),
+                    depth_bias=entry.get("depth_bias"),
+                )
+            except (TypeError, ValueError) as exc:
+                raise RunnerConfigError(
+                    f"[R002] campaign manifest {where}: bad circuit "
+                    f"generator knobs: {exc}"
+                ) from None
+            seed = _entry_number(entry, "seed", None, int, where)
+            source = ("seed", str(seed), gen_json)
+            stem = f"s{seed}"
             if not weight:
-                weight = int(entry.get("nodes", 0))
+                weight = _entry_number(entry, "nodes", 0, int, where)
         job_mode = str(entry.get("mode", mode))
         jobs.append(CampaignJob(
             label=str(entry.get("label", f"j{lineno}-{stem}")),
@@ -551,12 +575,13 @@ def load_manifest(
             library=str(entry.get("library", library)),
             mode=job_mode,
             kind=str(entry.get("kind", kind)),
-            engine=str(entry.get("engine", engine)),
-            max_variants=int(entry.get("max_variants", max_variants)),
+            max_variants=_entry_number(
+                entry, "max_variants", max_variants, int, where
+            ),
             verify=bool(entry.get("verify", verify)),
             check=bool(entry.get("check", check)),
             decompose=str(entry.get("decompose", "balanced")),
-            target=float(entry.get("target", 1.0)),
+            target=_entry_number(entry, "target", 1.0, float, where),
             weight=weight * MODE_WEIGHT.get(job_mode, 1),
         ))
     if not jobs:
@@ -573,7 +598,6 @@ def seed_ensemble(
     inputs: int = 6,
     mode: str = "dag",
     kind: str = "standard",
-    engine: str = "structural",
     max_variants: int = 8,
     verify: bool = False,
     check: bool = False,
@@ -609,7 +633,6 @@ def seed_ensemble(
             library=library,
             mode=mode,
             kind=kind,
-            engine=engine,
             max_variants=max_variants,
             verify=verify,
             check=check,
@@ -667,7 +690,8 @@ def stream_campaign(
     Raises:
         UnknownLibrarySpecError: a job names a bad library (``R001``),
             before any worker is spawned.
-        RunnerConfigError: bad policy values or job modes (``R002``).
+        RunnerConfigError: bad policy values, or a job mode, match kind
+            or decomposition style that does not exist (``R002``).
         WorkerInitError: a worker failed to initialise (``R003``).
         JournalError: unreadable or pre-``/2`` ``resume_path``
             (``R004``).
@@ -676,12 +700,20 @@ def stream_campaign(
     run_stats = stats if stats is not None else RunStats()
     policy = RunPolicy.resolve(workers, cell_timeout, retries, backoff)
     policy = replace(policy, workers=min(policy.workers, len(jobs) or 1))
-    for mode in sorted({job.mode for job in jobs}):
-        if mode not in MODES:
-            raise RunnerConfigError(
-                f"[R002] campaign job mode must be one of {MODES}, "
-                f"got {mode!r}"
-            )
+    from repro.core.match import MatchKind
+    from repro.network.decompose import STYLES
+
+    for field_name, allowed in (
+        ("mode", MODES),
+        ("kind", tuple(kind.value for kind in MatchKind)),
+        ("decompose", STYLES),
+    ):
+        for value in sorted({getattr(job, field_name) for job in jobs}):
+            if value not in allowed:
+                raise RunnerConfigError(
+                    f"[R002] campaign job {field_name} must be one of "
+                    f"{allowed}, got {value!r}"
+                )
     for spec in sorted({job.library for job in jobs}):
         resolve_library(spec)  # fail fast (R001) before any fork
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Dict, Sequence
 
-__all__ = ["MatchStats", "NPNStats", "SimStats", "RunStats", "percentile"]
+__all__ = ["MatchStats", "SimStats", "RunStats", "percentile"]
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -43,12 +43,6 @@ class MatchStats:
         matches_replayed: matches materialised via signature replay.
         cone_crosschecks: EXTENDED matches functionally verified by the
             packed-cone cross-check (``Matcher(crosscheck=True)``).
-        cut_filter_nodes: subject nodes whose pattern loop ran under the
-            cut-engine candidate filter (``Matcher(engine="cuts")``).
-        cut_patterns_pruned: patterns skipped by that filter before any
-            binding enumeration.
-        cut_tainted_nodes: nodes where the cut enumerator hit its per-node
-            cap and the filter fell back to allowing every pattern.
         eco_nodes_reused: subject nodes whose label/match was spliced in
             from a previous mapping by the ECO reuse hook
             (:func:`repro.eco.eco_remap`) without consulting the matcher.
@@ -64,9 +58,6 @@ class MatchStats:
     groups_enumerated: int = 0
     matches_replayed: int = 0
     cone_crosschecks: int = 0
-    cut_filter_nodes: int = 0
-    cut_patterns_pruned: int = 0
-    cut_tainted_nodes: int = 0
     eco_nodes_reused: int = 0
     eco_nodes_remapped: int = 0
 
@@ -84,59 +75,6 @@ class MatchStats:
     def as_dict(self) -> Dict[str, float]:
         out: Dict[str, float] = {f.name: getattr(self, f.name) for f in fields(self)}
         out["signature_hit_rate"] = round(self.signature_hit_rate, 4)
-        return out
-
-
-@dataclass
-class NPNStats:
-    """Counters for the memoized NPN canonicaliser (:mod:`repro.network.npn`).
-
-    One process-wide accumulator (``repro.network.npn.NPN_STATS``) counts
-    every :func:`~repro.network.npn.npn_canonical` call; the cut-engine
-    bench asserts on a before/after delta that repeated canonicalisation
-    of a library is served from the memo instead of re-running the
-    ``2^n * n! * 2`` search.
-
-    Attributes:
-        hits: calls answered from the memo.
-        misses: calls that ran the exhaustive canonical search.
-        orbit_entries: memo entries written by orbit filling (one miss on
-            an n <= 4 function stores its entire NPN orbit).
-        evictions: entries dropped from the bounded n >= 5 LRU.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    orbit_entries: int = 0
-    evictions: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def merge(self, other: "NPNStats") -> "NPNStats":
-        """Accumulate another run's counters into this one (returns self)."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return self
-
-    def snapshot(self) -> "NPNStats":
-        """An independent copy (for before/after deltas)."""
-        return NPNStats(self.hits, self.misses, self.orbit_entries, self.evictions)
-
-    def delta(self, since: "NPNStats") -> "NPNStats":
-        """Counters accumulated after ``since`` was snapshotted."""
-        return NPNStats(
-            self.hits - since.hits,
-            self.misses - since.misses,
-            self.orbit_entries - since.orbit_entries,
-            self.evictions - since.evictions,
-        )
-
-    def as_dict(self) -> Dict[str, float]:
-        out: Dict[str, float] = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["hit_rate"] = round(self.hit_rate, 4)
         return out
 
 
@@ -225,7 +163,7 @@ class RunStats:
         p50_s / p95_s / p99_s: nearest-rank percentiles of per-job
             wall-clock (all attempts of a job summed).
         warm_hits: jobs served by a worker that already held the job's
-            cache bundle (pattern trie / NPN table / memos).
+            cache bundle (pattern set / memos).
         warm_misses: jobs that had to build their bundle first.
         shard_small_jobs / shard_large_jobs: jobs routed to each shard
             of the size-sharded stream engine.

@@ -12,9 +12,9 @@ uninterrupted run because row payloads round-trip through JSON exactly
 The job key (:meth:`repro.perf.campaign.CampaignJob.key`) is the
 canonical JSON of every job field except the scheduling-only
 ``weight``, so a row is never replayed for a job that differs in mode,
-engine, target, source or any other field that can change it.
+target, source or any other field that can change it.
 
-Record shapes (schema ``repro-run-journal/2``)::
+Record shapes (schema ``repro-run-journal/3``)::
 
     {"schema": ..., "event": "start", "names": [...], "jobs": N,
      "cell_timeout": ..., "retries": ..., "resumed_cells": N}
@@ -23,9 +23,11 @@ Record shapes (schema ``repro-run-journal/2``)::
     {"event": "cell", "status": "failed", ..., "failure": {...}}
     {"event": "end", "stats": {...RunStats fields...}}
 
-Journals of schema ``repro-run-journal/1`` keyed jobs by library,
-kind, label and three flags only — a resume could replay a row of
-another mode or target — so they are refused with ``R004``.
+Older schemas are refused with ``R004``.  ``repro-run-journal/1``
+keyed jobs by library, kind, label and three flags only, so a resume
+could replay a row of another mode or target.  ``repro-run-journal/2``
+keys carry the removed ``engine`` job field, so none of them can match
+a current job.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ __all__ = [
     "load_journal",
 ]
 
-JOURNAL_SCHEMA = "repro-run-journal/2"
+JOURNAL_SCHEMA = "repro-run-journal/3"
 
 #: A job key: the canonical (sorted-keys) JSON of the job's identity
 #: fields, as built by :meth:`repro.perf.campaign.CampaignJob.key`.
@@ -107,7 +109,7 @@ def load_journal(path: str) -> JournalState:
             raise JournalError(
                 f"[R004] run journal {path}:{lineno}: schema {schema!r} "
                 f"is not {JOURNAL_SCHEMA!r}; older journals keyed jobs "
-                "by fewer fields and cannot be resumed safely, so re-run "
+                "by other fields and cannot be resumed safely, so re-run "
                 "without --resume"
             )
         state.records.append(record)

@@ -1,9 +1,8 @@
 """Worker protocol and run policy of the fault-tolerant batch layer.
 
 Every batch in the package — the paper's table cells, mapping
-campaigns, the fuzzing campaign, the parallel NPN-table build — runs
-through the supervised warm-worker engine of :mod:`repro.perf.stream`.
-This module holds what that engine and its drivers share:
+campaigns, the fuzzing campaign — runs through the supervised
+warm-worker engine of :mod:`repro.perf.stream`.  This module holds what that engine and its drivers share:
 
 * :class:`RunPolicy`, the one frozen description of *how* a batch runs
   (pool size, per-job timeout, retry budget, retry backoff), resolved
@@ -279,7 +278,7 @@ def _init_worker(initargs: tuple) -> None:
     any other key a job later names is built lazily on first use and
     cached for the worker's lifetime.  Built bundles never cross the
     process boundary, so they may hold arbitrarily heavy state
-    (pattern sets, NPN tables, matcher memos, ...).
+    (pattern sets, matcher memos, ...).
     """
     factory, factory_args, eager = initargs
     build = factory(*factory_args)

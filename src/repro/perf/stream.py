@@ -1,7 +1,7 @@
 """Streaming warm-worker engine: the one batch driver of the package.
 
-Every batch — the paper's table cells, mapping campaigns, fuzz seeds,
-the parallel NPN-table build — runs here, over the worker protocol of
+Every batch — the paper's table cells, mapping campaigns, fuzz
+seeds — runs here, over the worker protocol of
 :mod:`repro.perf.parallel`: private result pipes, crash isolation,
 per-task timeouts with worker replacement, bounded exponential-backoff
 retries and graceful ``KeyboardInterrupt``, in a *streaming* form:
@@ -12,8 +12,8 @@ retries and graceful ``KeyboardInterrupt``, in a *streaming* form:
 * pulling from the iterator is throttled by **bounded in-flight
   backpressure** (``max_inflight``), so a fast producer cannot flood the
   supervisor;
-* every job names a **cache bundle** key (library, variants, kind,
-  engine...).  A worker builds each distinct bundle exactly once —
+* every job names a **cache bundle** key (library, variants,
+  kind...).  A worker builds each distinct bundle exactly once —
   eagerly at init for the keys in ``eager_bundles``, lazily on first
   use otherwise — and reuses it for every later job with the same key.
   Whether a job was served warm is reported per result and counted in
@@ -32,10 +32,9 @@ retries and graceful ``KeyboardInterrupt``, in a *streaming* form:
 
 The engine does not resolve env defaults, build libraries, or decide
 orderings: it takes a resolved :class:`~repro.perf.parallel.RunPolicy`.
-Drivers (:mod:`repro.perf.campaign`, :mod:`repro.fuzz.run`,
-:mod:`repro.library.npn_table`) own those choices, and
-:func:`collect_rows` turns a stream back into one row per job in input
-order.
+Drivers (:mod:`repro.perf.campaign`, :mod:`repro.fuzz.run`) own those
+choices, and :func:`collect_rows` turns a stream back into one row per
+job in input order.
 """
 
 from __future__ import annotations
@@ -63,8 +62,6 @@ from repro.perf.counters import RunStats
 from repro.perf.journal import CellKey, JournalWriter
 from repro.perf.parallel import (
     _TICK,
-    DEFAULT_BACKOFF,
-    DEFAULT_RETRIES,
     CellFailure,
     RunPolicy,
     _worker_main,
@@ -150,11 +147,7 @@ def stream_jobs(
     factory: BundleFactory,
     factory_args: Tuple[object, ...] = (),
     *,
-    policy: Optional[RunPolicy] = None,
-    workers: int = 1,
-    cell_timeout: Optional[float] = None,
-    retries: int = DEFAULT_RETRIES,
-    backoff: float = DEFAULT_BACKOFF,
+    policy: RunPolicy,
     eager_bundles: Sequence[BundleKey] = (),
     max_inflight: Optional[int] = None,
     large_weight: Optional[int] = None,
@@ -167,23 +160,17 @@ def stream_jobs(
     Yields one :class:`StreamResult` per job **in completion order**;
     consume lazily for constant-memory campaigns.  ``policy`` is the
     resolved :class:`~repro.perf.parallel.RunPolicy` (drivers build it
-    with :meth:`RunPolicy.resolve`); without one, the explicit
-    ``workers``/``cell_timeout``/``retries``/``backoff`` values form
-    it as given — the engine itself never reads the environment.
+    with :meth:`RunPolicy.resolve`, tests construct it directly) — the
+    engine itself never reads the environment.
     ``stats`` — when given — accumulates throughput counters
     (retries/timeouts/crashes, warm hits/misses, shard occupancy,
     latency percentiles, jobs/s); totals (``cells_total``/``ok``/
     ``failed``) stay with the driver, which knows about resumed cells.
 
     Raises:
-        RunnerConfigError: bad policy or knob values (``R002``).
+        RunnerConfigError: bad knob values (``R002``).
         WorkerInitError: a worker's bundle factory failed (``R003``).
     """
-    if policy is None:
-        policy = RunPolicy(
-            workers=workers, cell_timeout=cell_timeout, retries=retries,
-            backoff=backoff,
-        )
     workers = policy.workers
     cell_timeout = policy.cell_timeout
     if recycle_after is not None and recycle_after < 1:

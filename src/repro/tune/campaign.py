@@ -105,7 +105,7 @@ class LatticeConfig:
         targets: delay budgets as slack multipliers on the optimal
             delay.
         max_variants: pattern-variant counts swept per job.
-        kind / engine: matcher options of every job.
+        kind: match kind of every job.
         check: run the target-aware mapping certificate in-worker
             (default on — front points must be certificate-backed).
         verify: simulate every cover against its source network.
@@ -120,7 +120,6 @@ class LatticeConfig:
     targets: Tuple[float, ...] = DEFAULT_TARGETS
     max_variants: Tuple[int, ...] = (8,)
     kind: str = "standard"
-    engine: str = "structural"
     check: bool = True
     verify: bool = False
     seed: Optional[int] = None
@@ -156,7 +155,6 @@ def _recover_job(
         library=library,
         mode="recover",
         kind=config.kind,
-        engine=config.engine,
         max_variants=max_variants,
         verify=config.verify,
         check=config.check,

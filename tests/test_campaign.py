@@ -20,14 +20,14 @@ from repro.perf.campaign import (
     seed_ensemble,
 )
 
-#: A small mixed ensemble: two libraries, both mapper modes, both
-#: matcher engines — every distinct cache bundle the pool must juggle.
+#: A small mixed ensemble: two libraries, both mapper modes, two
+#: match kinds — every distinct cache bundle the pool must juggle.
 def _mixed_jobs():
     jobs = seed_ensemble(range(4), ["mini", "lib2"], nodes=10, inputs=4,
                          verify=True)
     jobs.append(CampaignJob(
-        label="cuts-job", source=jobs[0].source, library="mini",
-        engine="cuts", verify=True,
+        label="exact-job", source=jobs[0].source, library="mini",
+        kind="exact", verify=True,
     ))
     jobs.append(CampaignJob(
         label="tree-job", source=jobs[1].source, library="mini",
@@ -70,7 +70,7 @@ class TestJobConstruction:
             "# a comment line\n"
             "\n"
             '{"seed": 7, "nodes": 9, "inputs": 4, "label": "tiny",'
-            ' "engine": "cuts"}\n'
+            ' "kind": "exact"}\n'
         )
         jobs = load_manifest(str(path), library="lib2")
         assert len(jobs) == 2
@@ -78,7 +78,7 @@ class TestJobConstruction:
         assert jobs[0].library == "mini"
         assert jobs[0].weight == 200
         assert jobs[1].label == "tiny"
-        assert jobs[1].engine == "cuts"
+        assert jobs[1].kind == "exact"
         assert jobs[1].library == "lib2"
         assert jobs[1].source[0] == "seed"
         assert jobs[1].weight == 9
@@ -104,6 +104,42 @@ class TestJobConstruction:
         path.write_text("# only comments\n")
         with pytest.raises(RunnerConfigError, match=r"\[R002\]"):
             load_manifest(str(path))
+
+    @pytest.mark.parametrize("entry,fragment", [
+        ({"seed": "x"}, "seed must be an integer"),
+        ({"seed": 1, "nodes": "many"}, "bad circuit generator knobs"),
+        ({"seed": 1, "inputs": 0}, "bad circuit generator knobs"),
+        ({"circuit": "C432s", "max_variants": "lots"},
+         "max_variants must be an integer"),
+        ({"circuit": "C432s", "weight": [1]}, "weight must be an integer"),
+        ({"circuit": "C432s", "mode": "recover", "target": "loose"},
+         "target must be a number"),
+    ])
+    def test_manifest_bad_value_is_located(self, tmp_path, entry, fragment):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"circuit": "C432s"}\n' + json.dumps(entry) + "\n")
+        with pytest.raises(RunnerConfigError) as info:
+            load_manifest(str(path))
+        message = str(info.value)
+        assert message.startswith(f"[R002] campaign manifest {path}:2: ")
+        assert fragment in message
+
+    def test_manifest_engine_field_is_located(self, tmp_path):
+        path = tmp_path / "engine.jsonl"
+        path.write_text('{"circuit": "C432s", "engine": "structural"}\n')
+        with pytest.raises(
+            RunnerConfigError,
+            match=r"^\[R002\] campaign manifest .*:1: the 'engine' field",
+        ):
+            load_manifest(str(path))
+
+    def test_cli_bad_manifest_value_is_reported(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"seed": "x"}\n')
+        assert main(["campaign", str(path), "-j", "1"]) == 2
+        assert f"[R002] campaign manifest {path}:1" in capsys.readouterr().err
 
 
 class TestCampaignModes:
@@ -176,6 +212,22 @@ class TestValidation:
         jobs = [CampaignJob(label="x", source=("suite", "C432s"),
                             library="mini", mode="sideways")]
         with pytest.raises(RunnerConfigError, match=r"\[R002\]"):
+            run_mapping_campaign(jobs, workers=1)
+
+    @pytest.mark.parametrize("field", ["kind", "decompose"])
+    def test_bad_kind_or_decompose_fails_up_front(self, field, monkeypatch):
+        import repro.perf.campaign as campaign
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("jobs reached the worker pool")
+
+        monkeypatch.setattr(campaign, "stream_jobs", no_stream)
+        jobs = [CampaignJob(label="x", source=("suite", "C432s"),
+                            library="mini", **{field: "bogus"})]
+        with pytest.raises(
+            RunnerConfigError,
+            match=rf"\[R002\] campaign job {field} must be one of .*'bogus'",
+        ):
             run_mapping_campaign(jobs, workers=1)
 
 
@@ -335,16 +387,15 @@ class TestCli:
 class TestEcoMode:
     """The eco campaign mode: incremental remap, byte-checked in-worker."""
 
-    def _eco_jobs(self, engine="structural"):
+    def _eco_jobs(self):
         base = seed_ensemble(range(3), ["mini"], nodes=14, inputs=5)
         return [CampaignJob(
             label=job.label + "-eco", source=job.source, library="mini",
-            mode="eco", engine=engine, verify=True, check=True,
+            mode="eco", verify=True, check=True,
         ) for job in base]
 
-    @pytest.mark.parametrize("engine", ["structural", "cuts"])
-    def test_rows_describe_the_edited_circuit(self, engine):
-        out = run_mapping_campaign(self._eco_jobs(engine), workers=1)
+    def test_rows_describe_the_edited_circuit(self):
+        out = run_mapping_campaign(self._eco_jobs(), workers=1)
         assert out.ok, [f.error for f in out.failures]
         for row in out.rows:
             assert row.mode == "eco"
@@ -413,7 +464,7 @@ class TestJournalKey:
                 assert changed.key() != job.key(), field.name
 
     @pytest.mark.parametrize("changed", [
-        {"mode": "recover"}, {"engine": "cuts"},
+        {"mode": "recover"}, {"kind": "exact"},
     ])
     def test_resume_never_replays_another_configuration(
         self, tmp_path, changed
@@ -455,6 +506,27 @@ class TestJournalKey:
                 seed_ensemble([1], ["lib2"], mode="recover"), workers=1,
                 resume_path=str(journal),
             )
+
+    def test_schema_2_journal_is_refused(self, tmp_path):
+        from repro.errors import JournalError
+
+        job = seed_ensemble([1], ["lib2"])[0]
+        key = json.loads(job.key())
+        key["engine"] = "structural"  # the field /2 keys still carried
+        journal = tmp_path / "v2.jsonl"
+        records = [
+            {"schema": "repro-run-journal/2", "event": "start",
+             "names": [job.label], "jobs": 1, "cell_timeout": None,
+             "retries": 2, "resumed_cells": 0},
+            {"event": "cell", "status": "ok", "name": job.label,
+             "job": key, "attempts": 1, "wall_s": 0.1,
+             "row": {"label": job.label, "mode": "dag"}},
+        ]
+        journal.write_text(
+            "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        )
+        with pytest.raises(JournalError, match=r"\[R004\].*journal/2"):
+            run_mapping_campaign([job], workers=1, resume_path=str(journal))
 
 
 class TestInterrupt:

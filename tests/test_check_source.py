@@ -235,23 +235,26 @@ class TestS104Environ:
 class TestS201Unpicklable:
     def test_lambda_setup_fires(self, tmp_path):
         report = analyze_snippet(tmp_path, """\
-            from repro.perf.parallel import _task_bundle_factory
+            from repro.perf.parallel import RunPolicy, _task_bundle_factory
             from repro.perf.stream import stream_jobs
 
             def go(tasks):
                 return stream_jobs(tasks, _task_bundle_factory,
-                                   (lambda: make(), ()))
+                                   (lambda: make(), ()),
+                                   policy=RunPolicy())
         """)
         assert "S201" in codes_of(report)
 
     def test_nested_closure_fires(self, tmp_path):
         report = analyze_snippet(tmp_path, """\
+            from repro.perf.parallel import RunPolicy
             from repro.perf.stream import stream_jobs
 
             def go(tasks, spec):
                 def configure():
                     return spec
-                return stream_jobs(tasks, factory=configure)
+                return stream_jobs(tasks, factory=configure,
+                                   policy=RunPolicy())
         """)
         assert "S201" in codes_of(report)
 
@@ -264,7 +267,7 @@ class TestS201Unpicklable:
 
     def test_module_level_callable_is_fine(self, tmp_path):
         report = analyze_snippet(tmp_path, """\
-            from repro.perf.parallel import _task_bundle_factory
+            from repro.perf.parallel import RunPolicy, _task_bundle_factory
             from repro.perf.stream import stream_jobs
 
             def configure():
@@ -272,7 +275,7 @@ class TestS201Unpicklable:
 
             def go(tasks, args):
                 return stream_jobs(tasks, _task_bundle_factory,
-                                   (configure, args))
+                                   (configure, args), policy=RunPolicy())
         """)
         assert codes_of(report) == []
 
@@ -368,7 +371,7 @@ class TestS202WorkerGlobals:
     def test_dispatch_setup_becomes_entrypoint(self, tmp_path):
         # A module-level setup passed to stream_jobs is walked too.
         report = analyze_snippet(tmp_path, """\
-            from repro.perf.parallel import _task_bundle_factory
+            from repro.perf.parallel import RunPolicy, _task_bundle_factory
             from repro.perf.stream import stream_jobs
 
             KNOBS = {}
@@ -380,13 +383,15 @@ class TestS202WorkerGlobals:
 
             def go(tasks):
                 return stream_jobs(tasks, _task_bundle_factory,
-                                   factory_args=(configure, ()))
+                                   factory_args=(configure, ()),
+                                   policy=RunPolicy())
         """, filename="driver.py", root_package="repro")
         assert "S202" in codes_of(report)
 
     def test_dispatch_table_entries_are_reachable(self, tmp_path):
         # A runner picked from a module-level table is walked too.
         report = analyze_snippet(tmp_path, """\
+            from repro.perf.parallel import RunPolicy
             from repro.perf.stream import stream_jobs
 
             KNOBS = {}
@@ -404,7 +409,7 @@ class TestS202WorkerGlobals:
 
 
             def go(jobs):
-                return stream_jobs(jobs, factory)
+                return stream_jobs(jobs, factory, policy=RunPolicy())
         """, filename="driver.py", root_package="repro")
         assert "S202" in codes_of(report)
 

@@ -201,9 +201,9 @@ class TestEco:
         netlist = read_mapped_blif(out_path, mini_library())
         assert netlist.gate_count() > 0
 
-    def test_eco_cuts_engine_and_match_kinds(self, pair_files, capsys):
+    def test_eco_match_kinds(self, pair_files, capsys):
         base, edited = pair_files
-        assert main(["eco", base, edited, "-l", "mini", "--engine", "cuts",
+        assert main(["eco", base, edited, "-l", "mini",
                      "--match", "exact", "--verify"]) == 0
         assert "byte-identical" in capsys.readouterr().out
 

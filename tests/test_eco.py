@@ -2,8 +2,7 @@
 
 The hard contract under test: ``eco_remap(base, edited, ...)`` is
 byte-identical — delay, area, mapped-BLIF cover — to a from-scratch
-``map_dag`` of the edited network, for both candidate engines and every
-match kind, while actually reusing labels on realistic edits.  The
+``map_dag`` of the edited network, for every match kind, while actually reusing labels on realistic edits.  The
 E-series patch certificate must catch tampered splices.
 """
 
@@ -23,13 +22,6 @@ from repro.network.decompose import decompose_network
 from repro.network.edits import Edit, EditScript
 from repro.network.mapped_io import dumps_mapped_blif
 
-ENGINES_BY_KIND = [
-    (MatchKind.STANDARD, "structural"),
-    (MatchKind.STANDARD, "cuts"),
-    (MatchKind.EXACT, "structural"),
-    (MatchKind.EXACT, "cuts"),
-    (MatchKind.EXTENDED, "structural"),  # cuts does not support EXTENDED
-]
 
 
 def identical(a, b):
@@ -40,13 +32,12 @@ def identical(a, b):
     )
 
 
-def scratch_map(net, patterns, kind, engine, arrivals=None):
+def scratch_map(net, patterns, kind, arrivals=None):
     return map_dag(
         decompose_network(net),
         patterns,
         kind=kind,
         arrival_times=arrivals,
-        engine=engine,
     )
 
 
@@ -56,25 +47,24 @@ def edit_pair():
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("kind,engine", ENGINES_BY_KIND)
-    def test_matches_from_scratch_mapping(self, kind, engine, mini_patterns, edit_pair):
+    @pytest.mark.parametrize("kind", list(MatchKind))
+    def test_matches_from_scratch_mapping(self, kind, mini_patterns, edit_pair):
         base_net, edited, script = edit_pair
-        base = scratch_map(base_net, mini_patterns, kind, engine)
+        base = scratch_map(base_net, mini_patterns, kind)
         eco = eco_remap(base, edited, mini_patterns)
-        scratch = scratch_map(edited, mini_patterns, kind, engine)
-        assert identical(eco.result, scratch), (kind, engine)
+        scratch = scratch_map(edited, mini_patterns, kind)
+        assert identical(eco.result, scratch), kind
         assert eco.nodes_reused > 0, "a 2-edit script must leave clean cones"
         assert eco.nodes_remapped > 0, "the edit must dirty its fanout"
         assert 0.0 < eco.reuse_fraction < 1.0
 
     def test_counters_and_metadata(self, mini_patterns, edit_pair):
         base_net, edited, _ = edit_pair
-        base = scratch_map(base_net, mini_patterns, MatchKind.STANDARD, "structural")
+        base = scratch_map(base_net, mini_patterns, MatchKind.STANDARD)
         eco = eco_remap(base, edited, mini_patterns)
         counters = eco.result.counters
         assert counters["eco_nodes_reused"] == eco.nodes_reused
         assert counters["eco_nodes_remapped"] == eco.nodes_remapped
-        assert eco.result.engine == base.engine
         assert eco.result.match_kind == base.match_kind
         assert eco.patch_report is not None and not eco.patch_report.has_errors
         assert eco.patch_report.meta["nodes_reused"] == eco.nodes_reused
@@ -84,11 +74,11 @@ class TestByteIdentity:
         base_net, edited, _ = edit_pair
         arrivals = {pi: 0.5 * i for i, pi in enumerate(base_net.pis)}
         base = scratch_map(
-            base_net, mini_patterns, MatchKind.STANDARD, "structural", arrivals
+            base_net, mini_patterns, MatchKind.STANDARD, arrivals
         )
         eco = eco_remap(base, edited, mini_patterns, arrival_times=arrivals)
         scratch = scratch_map(
-            edited, mini_patterns, MatchKind.STANDARD, "structural", arrivals
+            edited, mini_patterns, MatchKind.STANDARD, arrivals
         )
         assert identical(eco.result, scratch)
         assert eco.nodes_reused > 0
@@ -105,25 +95,23 @@ class TestByteIdentity:
 
 
 class TestEdgeCases:
-    @pytest.mark.parametrize("engine", ["structural", "cuts"])
-    def test_empty_diff_reuses_everything(self, engine, mini_patterns, edit_pair):
+    def test_empty_diff_reuses_everything(self, mini_patterns, edit_pair):
         base_net, _, _ = edit_pair
-        base = scratch_map(base_net, mini_patterns, MatchKind.STANDARD, engine)
+        base = scratch_map(base_net, mini_patterns, MatchKind.STANDARD)
         eco = eco_remap(base, base_net, mini_patterns)
         assert eco.nodes_remapped == 0
         assert eco.reuse_fraction == 1.0
         assert identical(eco.result, base)
 
-    @pytest.mark.parametrize("engine", ["structural", "cuts"])
-    def test_changed_arrivals_dirty_everything(self, engine, mini_patterns, edit_pair):
+    def test_changed_arrivals_dirty_everything(self, mini_patterns, edit_pair):
         base_net, _, _ = edit_pair
-        base = scratch_map(base_net, mini_patterns, MatchKind.STANDARD, engine)
+        base = scratch_map(base_net, mini_patterns, MatchKind.STANDARD)
         moved = {pi: 3.25 for pi in base_net.pis}
         eco = eco_remap(base, base_net, mini_patterns, arrival_times=moved,
                         base_arrival_times={})
         assert eco.nodes_reused == 0
         scratch = scratch_map(
-            base_net, mini_patterns, MatchKind.STANDARD, engine, moved
+            base_net, mini_patterns, MatchKind.STANDARD, moved
         )
         assert identical(eco.result, scratch)
 
@@ -132,8 +120,7 @@ class TestEdgeCases:
         """Claiming the base run used the new arrivals splices stale labels;
         the E003 arrival cross-check must refuse the patch."""
         base_net, _, _ = edit_pair
-        base = scratch_map(base_net, mini_patterns, MatchKind.STANDARD,
-                           "structural")
+        base = scratch_map(base_net, mini_patterns, MatchKind.STANDARD)
         moved = {pi: 3.25 for pi in base_net.pis}
         with pytest.raises(CertificateError, match="E003"):
             eco_remap(base, base_net, mini_patterns, arrival_times=moved)
@@ -144,9 +131,9 @@ class TestEdgeCases:
         internal = [node.name for node in net.nodes() if node.name not in net.pos]
         script = EditScript((Edit("po", internal[0]),))
         edited = script.apply(net)
-        base = scratch_map(net, mini_patterns, MatchKind.STANDARD, "structural")
+        base = scratch_map(net, mini_patterns, MatchKind.STANDARD)
         eco = eco_remap(base, edited, mini_patterns)
-        scratch = scratch_map(edited, mini_patterns, MatchKind.STANDARD, "structural")
+        scratch = scratch_map(edited, mini_patterns, MatchKind.STANDARD)
         assert identical(eco.result, scratch)
         assert [name for name, _ in eco.result.labels.subject.pos] == [
             name for name, _ in scratch.labels.subject.pos
@@ -155,9 +142,9 @@ class TestEdgeCases:
     def test_extended_leaves_stay_sound(self, lib441_patterns, edit_pair):
         """EXTENDED matches bind nodes past the cone; escapes must go dirty."""
         base_net, edited, _ = edit_pair
-        base = scratch_map(base_net, lib441_patterns, MatchKind.EXTENDED, "structural")
+        base = scratch_map(base_net, lib441_patterns, MatchKind.EXTENDED)
         eco = eco_remap(base, edited, lib441_patterns)
-        scratch = scratch_map(edited, lib441_patterns, MatchKind.EXTENDED, "structural")
+        scratch = scratch_map(edited, lib441_patterns, MatchKind.EXTENDED)
         assert identical(eco.result, scratch)
 
     def test_stuck_constant_edit(self, mini_patterns):
@@ -165,9 +152,9 @@ class TestEdgeCases:
         target = next(iter(net.pos))
         script = EditScript((Edit("stuck", target, "1"),))
         edited = script.apply(net)
-        base = scratch_map(net, mini_patterns, MatchKind.STANDARD, "structural")
+        base = scratch_map(net, mini_patterns, MatchKind.STANDARD)
         eco = eco_remap(base, edited, mini_patterns)
-        scratch = scratch_map(edited, mini_patterns, MatchKind.STANDARD, "structural")
+        scratch = scratch_map(edited, mini_patterns, MatchKind.STANDARD)
         assert identical(eco.result, scratch)
 
 
@@ -181,7 +168,7 @@ class TestValidation:
     def test_library_mismatch_rejected_m006(self, mini_patterns, lib441_patterns,
                                             edit_pair):
         base_net, edited, _ = edit_pair
-        base = scratch_map(base_net, mini_patterns, MatchKind.STANDARD, "structural")
+        base = scratch_map(base_net, mini_patterns, MatchKind.STANDARD)
         with pytest.raises(MappingError, match=r"\[M006\]"):
             eco_remap(base, edited, lib441_patterns)
 
@@ -215,7 +202,7 @@ class TestCertifyPatch:
         base_net, edited, _ = random_edit_pair(
             FuzzConfig(n_inputs=8, n_nodes=40, seed=7), n_edits=2
         )
-        base = scratch_map(base_net, mini_patterns, MatchKind.STANDARD, "structural")
+        base = scratch_map(base_net, mini_patterns, MatchKind.STANDARD)
         return base, eco_remap(base, edited, mini_patterns)
 
     def test_clean_run_certifies(self, eco_run):

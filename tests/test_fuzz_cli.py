@@ -19,7 +19,7 @@ def test_clean_run_exits_zero(capsys):
     assert "3 seeds, 3 clean, 0 failing" in out
 
 
-@pytest.mark.parametrize("mode", ["delay", "cover", "corrupt", "engine"])
+@pytest.mark.parametrize("mode", ["delay", "cover", "corrupt"])
 def test_injected_mutation_exits_one_with_code(mode, capsys, tmp_path):
     corpus = tmp_path / "corpus"
     status = main([

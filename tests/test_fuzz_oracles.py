@@ -52,7 +52,6 @@ class TestInjectedMutations:
             ("delay", "F004"),    # inflated delay breaks the certificate
             ("cover", "F004"),    # rewired pin breaks cover replay (C002)
             ("corrupt", "F002"),  # complemented PO breaks equivalence
-            ("engine", "F009"),   # inflated cut re-map delay: engines diverge
             ("eco", "F011"),      # skewed incremental delay: eco diverges
         ],
     )
@@ -81,43 +80,7 @@ class TestInjectedMutations:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown fuzz injection"):
             OracleConfig(inject="nonsense").resolved_inject()
-        assert set(INJECT_MODES) == {"delay", "cover", "corrupt", "engine",
-                                     "eco"}
-
-
-class TestEngineAgreement:
-    """F009: the structural and cut engines must agree on every circuit."""
-
-    def test_engine_inject_reports_f009_only_there(self, patterns):
-        net = random_dag(FuzzConfig(n_nodes=25, seed=3))
-        report = run_battery(net, OracleConfig(inject="engine"),
-                             patterns=patterns)
-        assert _codes(report) == ["F009"], report.format()
-        assert report.meta["inject"] == "engine"
-
-    def test_cross_engines_runs_by_default(self, patterns):
-        net = random_dag(FuzzConfig(n_nodes=20, seed=5))
-        report = run_battery(net, patterns=patterns)
-        assert _codes(report) == [], report.format()
-
-    def test_cross_engines_false_skips_check(self, patterns):
-        # with the agreement check disabled, the engine injection has no
-        # oracle left to catch it
-        net = random_dag(FuzzConfig(n_nodes=25, seed=3))
-        report = run_battery(
-            net,
-            OracleConfig(inject="engine", cross_engines=False),
-            patterns=patterns,
-        )
-        assert "F009" not in _codes(report), report.format()
-
-    def test_extended_kind_skipped(self):
-        # the cut engine refuses EXTENDED, so the agreement check must
-        # stand down rather than report a spurious F009
-        config = OracleConfig(kind="extended", inject="engine")
-        net = random_dag(FuzzConfig(n_nodes=20, seed=6))
-        report = run_battery(net, config, patterns=config.build_patterns())
-        assert "F009" not in _codes(report), report.format()
+        assert set(INJECT_MODES) == {"delay", "cover", "corrupt", "eco"}
 
 
 class TestRecoveryAndMultimapContract:

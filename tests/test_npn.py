@@ -16,6 +16,21 @@ from repro.network.npn import (
 )
 
 
+def _apply_scalar(tt, perm, neg, out_neg):
+    """Per-minterm reference for the packed ``_apply`` (the oracle)."""
+    n = tt.n_vars
+    bits = 0
+    for assignment in range(1 << n):
+        original = 0
+        for i in range(n):
+            bit = (assignment >> perm[i]) & 1
+            bit ^= (neg >> i) & 1
+            original |= bit << i
+        value = tt.evaluate(original) ^ int(out_neg)
+        bits |= value << assignment
+    return bits
+
+
 class TestCanonical:
     def test_transform_achieves_canonical(self):
         tt = TruthTable(3, 0b10010110)  # parity-ish
@@ -89,8 +104,6 @@ class TestPackedApply:
     def test_all_transforms_small(self):
         from itertools import permutations
 
-        from repro.network.npn import _apply_scalar
-
         rng = random.Random(5)
         for n in (1, 2, 3):
             for _ in range(4):
@@ -105,8 +118,6 @@ class TestPackedApply:
     @given(st.integers(min_value=0, max_value=(1 << 32) - 1), st.integers(0, 10**6))
     def test_random_transforms_n5(self, bits, pick):
         from itertools import permutations
-
-        from repro.network.npn import _apply_scalar
 
         n = 5
         tt = TruthTable(n, bits)

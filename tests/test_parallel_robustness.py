@@ -315,7 +315,7 @@ def _pool(setup_args, payloads, labels=None, jobs=1, **policy):
              for label, payload in zip(labels, payloads)),
             _task_bundle_factory,
             (_square_setup, setup_args),
-            policy=RunPolicy.resolve(workers=jobs, **policy),
+            policy=RunPolicy(workers=jobs, **policy),
             eager_bundles=(("task",),),
         ),
         labels,

@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import RunnerConfigError
 from repro.perf.counters import RunStats
-from repro.perf.parallel import CellFailure, _task_bundle_factory
+from repro.perf.parallel import CellFailure, RunPolicy, _task_bundle_factory
 from repro.perf.stream import StreamJob, stream_jobs
 
 
@@ -27,7 +27,7 @@ def _scaled_setup(scale):
 
 
 def _run_stream(jobs, **kwargs):
-    kwargs.setdefault("workers", 2)
+    kwargs.setdefault("policy", RunPolicy(workers=2))
     kwargs.setdefault("eager_bundles", (("task",),))
     stats = kwargs.setdefault("stats", RunStats())
     engine = stream_jobs(
@@ -41,19 +41,20 @@ class TestValidation:
     def test_zero_workers_rejected(self):
         with pytest.raises(RunnerConfigError, match=r"\[R002\]"):
             list(stream_jobs(iter([]), _task_bundle_factory,
-                             (_scaled_setup, (1,)), workers=0))
+                             (_scaled_setup, (1,)),
+                             policy=RunPolicy(workers=0)))
 
     def test_max_inflight_below_workers_rejected(self):
         with pytest.raises(RunnerConfigError, match=r"\[R002\]"):
             list(stream_jobs(iter([]), _task_bundle_factory,
-                             (_scaled_setup, (1,)), workers=4,
-                             max_inflight=2))
+                             (_scaled_setup, (1,)),
+                             policy=RunPolicy(workers=4), max_inflight=2))
 
     def test_recycle_after_below_one_rejected(self):
         with pytest.raises(RunnerConfigError, match=r"\[R002\]"):
             list(stream_jobs(iter([]), _task_bundle_factory,
-                             (_scaled_setup, (1,)), workers=1,
-                             recycle_after=0))
+                             (_scaled_setup, (1,)),
+                             policy=RunPolicy(workers=1), recycle_after=0))
 
     def test_empty_iterator_completes_without_results(self):
         results, stats = _run_stream([])
@@ -83,7 +84,7 @@ class TestStreaming:
         consumed = 0
         engine = stream_jobs(
             feed(), _task_bundle_factory, (_scaled_setup, (1,)),
-            workers=2, eager_bundles=(("task",),),
+            policy=RunPolicy(workers=2), eager_bundles=(("task",),),
             max_inflight=max_inflight,
         )
         for _ in engine:
@@ -95,14 +96,15 @@ class TestStreaming:
 
     def test_eager_bundles_make_every_job_warm(self):
         jobs = [StreamJob(label=f"t{i}", payload=i) for i in range(16)]
-        results, stats = _run_stream(jobs, workers=2)
+        results, stats = _run_stream(jobs, policy=RunPolicy(workers=2))
         assert stats.warm_misses == 0
         assert stats.warm_hits == 16
         assert all(r.warm for r in results)
 
     def test_lazy_bundles_miss_once_per_worker(self):
         jobs = [StreamJob(label=f"t{i}", payload=i) for i in range(16)]
-        results, stats = _run_stream(jobs, workers=2, eager_bundles=())
+        results, stats = _run_stream(jobs, policy=RunPolicy(workers=2),
+                                     eager_bundles=())
         assert stats.warm_misses == 2
         assert stats.warm_hits == 14
         assert sum(1 for r in results if not r.warm) == 2
@@ -112,7 +114,9 @@ class TestStreaming:
             StreamJob(label="ok", payload=3),
             StreamJob(label="bad", payload="boom"),
         ]
-        results, stats = _run_stream(jobs, retries=1, backoff=0.0)
+        results, stats = _run_stream(
+            jobs, policy=RunPolicy(workers=2, retries=1, backoff=0.0)
+        )
         by_label = {r.label: r for r in results}
         assert by_label["ok"].row == 30
         failure = by_label["bad"]
@@ -130,7 +134,8 @@ class TestSharding:
                       weight=500 if i % 5 == 0 else 1)
             for i in range(20)
         ]
-        results, stats = _run_stream(jobs, workers=2, large_weight=100)
+        results, stats = _run_stream(jobs, policy=RunPolicy(workers=2),
+                                     large_weight=100)
         assert len(results) == 20
         assert stats.shard_large_jobs == 4
         assert stats.shard_small_jobs == 16
@@ -139,14 +144,15 @@ class TestSharding:
         # Only small jobs: the large-shard worker has nothing of its own
         # and must steal to stay busy.
         jobs = [StreamJob(label=f"t{i}", payload=i) for i in range(40)]
-        _, stats = _run_stream(jobs, workers=2, large_weight=100)
+        _, stats = _run_stream(jobs, policy=RunPolicy(workers=2),
+                               large_weight=100)
         assert stats.shard_large_jobs == 0
         assert stats.shard_steals > 0
 
     def test_without_large_weight_no_large_shard(self):
         jobs = [StreamJob(label=f"t{i}", payload=i, weight=10 ** 9)
                 for i in range(6)]
-        _, stats = _run_stream(jobs, workers=2)
+        _, stats = _run_stream(jobs, policy=RunPolicy(workers=2))
         assert stats.shard_large_jobs == 0
         assert stats.shard_steals == 0
 
@@ -154,8 +160,8 @@ class TestSharding:
 class TestRecycling:
     def test_recycle_after_one_is_cold_dispatch(self):
         jobs = [StreamJob(label=f"t{i}", payload=i) for i in range(8)]
-        results, stats = _run_stream(jobs, workers=2, recycle_after=1,
-                                     eager_bundles=())
+        results, stats = _run_stream(jobs, policy=RunPolicy(workers=2),
+                                     recycle_after=1, eager_bundles=())
         assert len(results) == 8
         assert stats.warm_hits == 0
         assert stats.warm_misses == 8
