@@ -55,6 +55,9 @@ class Labels:
         po_arrival: PO name -> arrival of its driver.
         n_matches: total number of matches enumerated (work measure).
         objective: 'delay' or 'area'.
+        match_stats: the matcher's counters accumulated by this call
+            alone (:meth:`~repro.perf.counters.MatchStats.delta`), also
+            when the matcher is shared across calls.
     """
 
     subject: SubjectGraph
@@ -155,6 +158,7 @@ def compute_labels(
 
     if matcher is None:
         matcher = Matcher(patterns, kind, cache=cache)
+    stats_before = matcher.stats.snapshot()
     matcher.attach(subject)
     arrival: List[float] = [0.0] * n
     area_flow: List[float] = [0.0] * n
@@ -235,5 +239,5 @@ def compute_labels(
         objective=objective,
         area_flow=area_flow,
         matches_per_node=all_matches,
-        match_stats=matcher.stats.as_dict(),
+        match_stats=matcher.stats.delta(stats_before).as_dict(),
     )

@@ -135,12 +135,13 @@ class Matcher:
     With ``cache=True`` (the default) the matcher runs the performance
     layer of :mod:`repro.perf`: structural cone signatures memoize whole
     ``matches_at`` results across structurally identical subject nodes,
-    and the pattern trie shares binding enumeration and feasibility work
-    across patterns.  Both are exact — the produced match lists are
+    the pattern trie shares binding enumeration across patterns, and
+    per-subject-node shape bitsets answer structural feasibility with a
+    bit test, so a pattern whose root shape does not embed is never
+    enumerated.  All are exact — the produced match lists are
     byte-identical, in content and order, to the uncached path
-    (``cache=False``), which is preserved as the reference implementation.
-
-    Every pattern with the subject node's root kind is tried, exactly
+    (``cache=False``), which is preserved as the reference implementation
+    and tries every pattern with the subject node's root kind, exactly
     as the paper describes.
     """
 
@@ -166,8 +167,26 @@ class Matcher:
                     counts[fanin.uid] = counts.get(fanin.uid, 0) + 1
             self._pattern_fanout[id(pattern)] = counts
         if cache:
-            self._trie: Optional[PatternTrie] = PatternTrie(patterns)
-            self._shape_of: Optional[Dict[int, int]] = self._trie.shape_of
+            trie = PatternTrie(patterns)
+            self._trie: Optional[PatternTrie] = trie
+            self._shape_of: Optional[Dict[int, int]] = trie.shape_of
+            # Root-shape index: shape id -> positions (in for_root order)
+            # of the patterns rooted at that shape, plus the number of
+            # binding groups per root shape and per root kind, so a
+            # signature miss visits only the patterns whose root shape
+            # fits and counts the groups it skipped.
+            self._root_positions: Dict[int, List[int]] = {}
+            self._root_groups: Dict[int, int] = {}
+            self._kind_groups: Dict[NodeType, int] = {}
+            for root_kind in (NodeType.INV, NodeType.NAND2):
+                groups: Dict[int, Set[int]] = {}
+                for pos, pattern in enumerate(patterns.for_root(root_kind)):
+                    sid = trie.shape_of[id(pattern.root)]
+                    self._root_positions.setdefault(sid, []).append(pos)
+                    groups.setdefault(sid, set()).add(id(trie.group_of[id(pattern)]))
+                self._root_groups.update((sid, len(g)) for sid, g in groups.items())
+                self._kind_groups[root_kind] = sum(len(g) for g in groups.values())
+            self._root_mask = sum(1 << sid for sid in self._root_positions)
             # Exact-kind signatures record min(uses, cap): any use count
             # above every pattern-side fanout fails out-degree equality
             # the same way, so larger counts need not be distinguished.
@@ -195,7 +214,8 @@ class Matcher:
 
     # ------------------------------------------------------------------
     def attach(self, subject: SubjectGraph) -> None:
-        """Precompute subject-side data (fanout-use counts, depths)."""
+        """Precompute subject-side data (fanout-use counts) and reset the
+        per-subject feasibility state."""
         self._uses: List[int] = [0] * len(subject.nodes)
         for node in subject.nodes:
             for fanin in node.fanins:
@@ -206,28 +226,60 @@ class Matcher:
         # the labeling pass reads one list instead of calling
         # subject_uses() per node (PIs included).
         self._uses_floor: List[int] = [u if u > 1 else 1 for u in self._uses]
-        self._depth: List[int] = [0] * len(subject.nodes)
-        for node in subject.nodes:
-            if node.fanins:
-                self._depth[node.uid] = 1 + max(
-                    self._depth[f.uid] for f in node.fanins
-                )
-        # Structural-feasibility memo: (pattern shape, subject uid) ->
-        # can the pattern subtree embed at the subject node, ignoring
-        # binding constraints?  A necessary condition that is computed at
-        # most once per pair — this is what keeps the labeling within the
-        # paper's O(s*p) bound in practice.  With the trie enabled the
-        # key is the interned subtree shape, so every pattern sharing the
-        # shape shares the entry.
-        self._feasible_cache: Dict[Tuple[int, int], bool] = {}
+        if self.cache:
+            # Shape bitsets by subject uid, filled on first demand by
+            # _shape_bits_at (0 = not computed yet: a computed bitset
+            # always holds the leaf bit).  A warm pass that replays every
+            # node from the signature cache computes none.
+            self._bits: List[int] = [0] * len(subject.nodes)
+        else:
+            # Reference path: pattern depths prune by subject depth, and
+            # feasibility is a recursive memo keyed by (pattern node,
+            # subject uid).
+            self._depth: List[int] = [0] * len(subject.nodes)
+            for node in subject.nodes:
+                if node.fanins:
+                    self._depth[node.uid] = 1 + max(
+                        self._depth[f.uid] for f in node.fanins
+                    )
+            self._feasible_cache: Dict[Tuple[int, int], bool] = {}
+
+    def _shape_bits_at(self, snode: SubjectNode) -> int:
+        """Feasibility bitset of ``snode``: bit *k* is set iff interned
+        pattern shape *k* embeds at ``snode`` (cached path).
+
+        Computed bottom-up from the fanins' bitsets with an iterative
+        post-order over the not-yet-computed transitive fanin, so every
+        node below ``snode`` has its bitset afterwards and subject depth
+        is not limited by Python recursion.
+        """
+        bits = self._bits
+        done = bits[snode.uid]
+        if done:
+            return done
+        assert self._trie is not None  # cache=True invariant
+        compose = self._trie.compose
+        stack = [snode]
+        while stack:
+            node = stack[-1]
+            if bits[node.uid]:
+                stack.pop()
+                continue
+            pending = [f for f in node.fanins if not bits[f.uid]]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            bits[node.uid] = compose(node.kind, *[bits[f.uid] for f in node.fanins])
+            self.stats.feasibility_misses += 1
+        return bits[snode.uid]
 
     def _feasible(self, pnode: PatternNode, snode: SubjectNode) -> bool:
-        """Binding-independent embeddability of a pattern subtree."""
+        """Binding-independent embeddability of a pattern subtree
+        (reference path; the cached path tests shape bitsets instead)."""
         if pnode.kind is NodeType.PI:
             return True
-        shape_of = self._shape_of
-        pid = shape_of[id(pnode)] if shape_of is not None else id(pnode)
-        key = (pid, snode.uid)
+        key = (id(pnode), snode.uid)
         cached = self._feasible_cache.get(key)
         if cached is not None:
             self.stats.feasibility_hits += 1
@@ -319,20 +371,33 @@ class Matcher:
     def _matches_at_grouped(self, snode: SubjectNode) -> List[Match]:
         """Trie path: one enumeration per pattern group, bindings translated.
 
-        Patterns are still visited in pattern-set order and each group's
-        binding list is in enumeration order, so the match stream — and
-        therefore the identity dedup — is exactly the direct path's.
+        Only patterns whose root shape bit is set in ``snode``'s bitset
+        are visited; a clear bit means no binding exists, so skipping the
+        pattern drops nothing.  The survivors are visited in pattern-set
+        order and each group's binding list is in enumeration order, so
+        the match stream — and therefore the identity dedup — is exactly
+        the direct path's.
         """
         results: List[Match] = []
         seen: Set[Tuple[object, ...]] = set()
-        depth = self._depth[snode.uid]
         stats = self.stats
         assert self._trie is not None  # cache=True invariant
         group_of = self._trie.group_of
+        fit = self._shape_bits_at(snode) & self._root_mask
+        positions: List[int] = []
+        groups_fit = 0
+        while fit:
+            low = fit & -fit
+            fit ^= low
+            sid = low.bit_length() - 1
+            positions += self._root_positions[sid]
+            groups_fit += self._root_groups[sid]
+        stats.feasibility_hits += self._kind_groups[snode.kind] - groups_fit
+        positions.sort()
+        candidates = self.patterns.for_root(snode.kind)
         group_bindings: Dict[int, List[Dict[int, SubjectNode]]] = {}
-        for pattern in self.patterns.for_root(snode.kind):
-            if pattern.depth > depth:
-                continue  # the pattern cannot fit above the PIs
+        for pos in positions:
+            pattern = candidates[pos]
             group = group_of[id(pattern)]
             bindings = group_bindings.get(id(group))
             if bindings is None:
@@ -370,6 +435,12 @@ class Matcher:
         exact = self.kind is MatchKind.EXACT
         pattern_fanout = self._pattern_fanout[id(pattern)]
         swap_safe = pattern.swap_safe
+        # Cached path: feasibility is a bit test on the shape bitsets,
+        # all computed below the root by _matches_at_grouped.
+        shape_bits: Optional[List[int]] = None
+        shape_of: Dict[int, int] = {}
+        if self._shape_of is not None:
+            shape_bits, shape_of = self._bits, self._shape_of
         binding: Dict[int, SubjectNode] = {}
         images: Dict[int, int] = {}  # subject uid -> pattern uid
         stack: List[Tuple[PatternNode, SubjectNode]] = [(pattern.root, root)]
@@ -397,7 +468,10 @@ class Matcher:
                         if images.get(snode.uid) == pnode.uid:
                             del images[snode.uid]
                     return
-                if not self._feasible(pnode, snode):
+                if shape_bits is not None:
+                    if not shape_bits[snode.uid] >> shape_of[id(pnode)] & 1:
+                        return
+                elif not self._feasible(pnode, snode):
                     return
                 if exact and pattern_fanout.get(pnode.uid, 0) > 0:
                     # Interior node: all subject fanout must stay inside the
@@ -435,8 +509,15 @@ class Matcher:
             finally:
                 stack.append((pnode, snode))
 
-        for _ in assign():
-            yield dict(binding)
+        try:
+            for _ in assign():
+                yield dict(binding)
+        finally:
+            # assign() refers to itself through its closure; dropping the
+            # name breaks that cycle, so the closure (which holds self and
+            # the bindings) is freed by reference counting instead of
+            # waiting for the cyclic garbage collector.
+            del assign
 
     def subject_uses(self, snode: SubjectNode) -> int:
         """Fanout-use count of a subject node (edges plus PO references)."""

@@ -32,8 +32,10 @@ class MappingResult:
         engine: always ``'structural'``, the one matching engine; kept
             so callers that record the matcher's engine still work.
         counters: per-run instrumentation from the :mod:`repro.perf`
-            layer (signature-cache hits/misses, feasibility-cache hits,
-            bindings enumerated); ``None`` when unavailable.
+            layer (signature-cache hits/misses, shape bitsets computed,
+            pattern groups skipped, bindings enumerated), counted over
+            this run alone even with a shared matcher; ``None`` when
+            unavailable.
         certificate: the :class:`repro.check.CheckReport` produced when
             the mapper ran with ``check=True``; ``None`` otherwise.
         sim_vectors: random-batch width the certificate's equivalence

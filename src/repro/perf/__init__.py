@@ -12,9 +12,9 @@ enforced byte-identical to the seed path by the test suite:
 * :mod:`repro.perf.trie` — a pattern prefix trie.  Patterns whose
   decompositions share a structural prefix (very common across the
   variants of one gate and across gates of a rich library) are grouped so
-  the binding enumeration runs once per group per subject node, and the
-  structural-feasibility memo is keyed by interned subtree shapes shared
-  across the whole pattern set.
+  the binding enumeration runs once per group per subject node; subtrees
+  are interned as shapes whose ids index per-subject-node feasibility
+  bitsets, so only the groups whose root shape fits are enumerated.
 * :mod:`repro.perf.parallel` — the worker protocol of the
   fault-tolerant batch layer and its one :class:`RunPolicy` (workers,
   per-job timeout, retries, backoff).  Worker crashes, per-job

@@ -32,11 +32,14 @@ def result_record(
     wall_s: Optional[float] = None,
 ) -> Dict[str, object]:
     """Flatten one :class:`~repro.core.result.MappingResult` per circuit."""
+    if wall_s is None:
+        wall_s = result.cpu_seconds
     return {
         "circuit": name,
         "subject_gates": subject_gates,
         "mode": result.mode,
-        "wall_s": round(wall_s if wall_s is not None else result.cpu_seconds, 4),
+        "wall_s": round(wall_s, 4),
+        "us_per_node": round(wall_s * 1e6 / max(subject_gates, 1), 1),
         "delay": result.delay,
         "area": result.area,
         "n_matches": result.n_matches,

@@ -9,7 +9,7 @@ trajectory is tracked across PRs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Sequence
 
 __all__ = ["MatchStats", "SimStats", "RunStats", "percentile"]
@@ -30,14 +30,21 @@ def percentile(samples: Sequence[float], q: float) -> float:
 
 @dataclass
 class MatchStats:
-    """Counters for one matching run (one subject graph, one matcher).
+    """Counters of one :class:`Matcher`.
+
+    A matcher's instance accumulates over its whole life (a shared
+    matcher maps many subjects); :func:`repro.core.labeling.compute_labels`
+    reports the :meth:`delta` over its own call.
 
     Attributes:
         signature_hits: subject nodes whose match list was replayed from a
             structurally identical node.
         signature_misses: subject nodes matched from scratch (and cached).
-        feasibility_hits: structural-feasibility memo hits.
-        feasibility_misses: feasibility entries computed.
+        feasibility_hits: cached path: pattern groups skipped because
+            their root shape does not embed at the node; reference path
+            (``cache=False``): feasibility memo hits.
+        feasibility_misses: cached path: subject-node shape bitsets
+            computed; reference path: feasibility memo entries computed.
         bindings_enumerated: complete bindings produced by the enumerator.
         groups_enumerated: (pattern group, subject node) enumerations run.
         matches_replayed: matches materialised via signature replay.
@@ -71,6 +78,17 @@ class MatchStats:
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         return self
+
+    def snapshot(self) -> "MatchStats":
+        """An independent copy (for before/after deltas)."""
+        return replace(self)
+
+    def delta(self, since: "MatchStats") -> "MatchStats":
+        """Counters accumulated after ``since`` was snapshotted."""
+        out = self.snapshot()
+        for f in fields(self):
+            setattr(out, f.name, getattr(self, f.name) - getattr(since, f.name))
+        return out
 
     def as_dict(self) -> Dict[str, float]:
         out: Dict[str, float] = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -25,8 +25,10 @@ Why the cone suffices (soundness):
   <= max_depth - 1: nodes whose *minimum* distance equals ``max_depth``
   can only be bound by pattern leaves, which accept any node.  They are
   encoded as opaque cut points (identity only, no kind, no fanins).
-* Structural feasibility recurses in lockstep over pattern and subject,
-  so it too never inspects anything beyond the cone.
+* Structural feasibility of a pattern shape at a node follows the
+  shape's own recursion over the subject (the shape bitsets compose it
+  from the fanins' bits one level at a time), so it too never depends
+  on anything beyond the cone.
 * For :class:`MatchKind.EXACT` the out-degree condition compares subject
   fanout-use counts against pattern-side fanout, so the signature also
   carries ``min(uses, cap)`` per interior-bindable node, where ``cap``

@@ -15,12 +15,14 @@ at every subject node; this module merges that work on two levels:
   would produce.  Grouping keys include the swap-safe marks so the
   symmetry pruning applied for the representative is the one every
   member would apply.
-* **Shape interning** — the structural-feasibility memo (`Matcher._feasible`)
-  is keyed by the interned *unordered* shape of a pattern subtree instead
-  of the subtree's identity.  Feasibility is invariant under child order
-  and ignores leaf pins and sharing, so one cache entry serves every
-  occurrence of a shape across the entire pattern set: shared prefixes
-  are walked once per subject node.
+* **Shape interning** — every pattern subtree gets the id of its
+  interned *unordered* shape (kind plus the shapes of its children,
+  pins and sharing erased).  Structural feasibility depends on nothing
+  else, so shape ids index the per-subject-node feasibility bitsets of
+  :class:`repro.core.match.Matcher`: bit *k* of a node's bitset is set
+  iff shape *k* embeds there.  :meth:`PatternTrie.compose` builds a
+  node's bitset from its fanins' bitsets, so one bottom-up pass answers
+  every (shape, node) feasibility question with a bit test.
 """
 
 from __future__ import annotations
@@ -98,30 +100,36 @@ def _ordered_serial(
     return tuple(tokens), order
 
 
-def _shape_key(node: PatternNode, memo: Dict[int, object]) -> object:
-    """Canonical *unordered* shape of a pattern subtree (pins erased).
+def _intern_shape(
+    node: PatternNode, intern: Dict[Tuple[object, ...], int], memo: Dict[int, int]
+) -> int:
+    """Interned id of the canonical *unordered* shape of a pattern subtree.
 
-    This is exactly the information structural feasibility depends on:
-    the check recurses over kinds trying both child orders and terminates
-    at leaves unconditionally, so it is invariant under child order, leaf
-    identity and sharing.
+    The key is the node kind plus its children's shape ids (sorted for
+    NAND2), so pins, leaf identity and sharing are erased.  This is
+    exactly the information structural feasibility depends on: the check
+    recurses over kinds trying both child orders and terminates at
+    leaves unconditionally.
     """
-    key = memo.get(id(node))
-    if key is not None:
-        return key
+    sid = memo.get(id(node))
+    if sid is not None:
+        return sid
     kind = node.kind
+    key: Tuple[object, ...]
     if kind is NodeType.PI:
-        key = "L"
+        key = ("L",)
     elif kind is NodeType.INV:
-        key = ("I", _shape_key(node.fanins[0], memo))
+        key = ("I", _intern_shape(node.fanins[0], intern, memo))
     else:
-        a = _shape_key(node.fanins[0], memo)
-        b = _shape_key(node.fanins[1], memo)
-        if repr(a) > repr(b):
-            a, b = b, a
-        key = ("N", a, b)
-    memo[id(node)] = key
-    return key
+        a = _intern_shape(node.fanins[0], intern, memo)
+        b = _intern_shape(node.fanins[1], intern, memo)
+        key = ("N", min(a, b), max(a, b))
+    sid = intern.get(key)
+    if sid is None:
+        sid = len(intern)
+        intern[key] = sid
+    memo[id(node)] = sid
+    return sid
 
 
 class PatternTrie:
@@ -133,9 +141,20 @@ class PatternTrie:
         shape_of: ``id(pattern node) -> interned shape id`` for every node
             of every pattern; nodes with equal unordered shape share one id.
         n_shapes: number of distinct shapes interned.
+        leaf_bit: the bit of the leaf shape, which embeds at every node.
+
+    The composition tables behind :meth:`compose` are built here once:
+    ``_inv_of[c]`` is the bit of the INV shape whose child is shape
+    ``c``; ``_nand_partners[c]`` holds the shapes ``p`` for which some
+    NAND2 shape has children ``{c, p}``, and ``_nand_of[c, p]`` is that
+    shape's bit.
     """
 
-    __slots__ = ("groups", "group_of", "shape_of", "n_shapes")
+    __slots__ = (
+        "groups", "group_of", "shape_of", "n_shapes", "leaf_bit",
+        "_inv_of", "_inv_children", "_nand_partners", "_nand_children",
+        "_nand_of",
+    )
 
     def __init__(self, patterns: PatternSet):
         self.groups: List[PatternGroup] = []
@@ -158,18 +177,68 @@ class PatternTrie:
                 group.add(pattern, rep_order, order)
             self.group_of[id(pattern)] = group
 
-        intern: Dict[object, int] = {}
-        self.shape_of: Dict[int, int] = {}
-        memo: Dict[int, object] = {}
-        for pattern in patterns.patterns:
-            for node in pattern.nodes:
-                key = _shape_key(node, memo)
-                sid = intern.get(key)
-                if sid is None:
-                    sid = len(intern)
-                    intern[key] = sid
-                self.shape_of[id(node)] = sid
+        intern: Dict[Tuple[object, ...], int] = {}
+        memo: Dict[int, int] = {}
+        self.shape_of: Dict[int, int] = {
+            id(node): _intern_shape(node, intern, memo)
+            for pattern in patterns.patterns
+            for node in pattern.nodes
+        }
         self.n_shapes = len(intern)
+        self.leaf_bit = 0
+        self._inv_of: List[int] = [0] * self.n_shapes
+        self._nand_partners: List[int] = [0] * self.n_shapes
+        self._nand_of: Dict[Tuple[int, int], int] = {}
+        for key, sid in intern.items():
+            bit = 1 << sid
+            if key[0] == "L":
+                self.leaf_bit = bit
+            elif key[0] == "I":
+                self._inv_of[key[1]] = bit
+            else:
+                a, b = key[1], key[2]
+                self._nand_partners[a] |= 1 << b
+                self._nand_partners[b] |= 1 << a
+                self._nand_of[a, b] = self._nand_of[b, a] = bit
+        self._inv_children = sum(1 << c for c, bit in enumerate(self._inv_of) if bit)
+        self._nand_children = sum(
+            1 << c for c, mask in enumerate(self._nand_partners) if mask
+        )
+
+    def compose(self, kind: NodeType, bits0: int = 0, bits1: int = 0) -> int:
+        """Feasibility bitset of a subject node from its fanins' bitsets.
+
+        ``kind`` is the subject node's kind; ``bits0``/``bits1`` are the
+        bitsets of its fanins (unused for a PI).  The leaf shape fits
+        everywhere; an INV shape fits an INV node whose fanin fits its
+        child; a NAND2 shape with children ``{a, b}`` fits a NAND2 node
+        when ``a`` fits one fanin and ``b`` the other, in either order.
+        When both fanins are the same node, ``bits0 == bits1`` and the
+        two orders coincide, exactly as the swapped-order recursion of
+        ``Matcher._feasible`` skips when ``s0 is s1``.
+        """
+        bits = self.leaf_bit
+        if kind is NodeType.INV:
+            inv_of = self._inv_of
+            todo = bits0 & self._inv_children
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                bits |= inv_of[low.bit_length() - 1]
+        elif kind is NodeType.NAND2:
+            partners = self._nand_partners
+            nand_of = self._nand_of
+            todo = bits0 & self._nand_children
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                c = low.bit_length() - 1
+                fits = partners[c] & bits1
+                while fits:
+                    low = fits & -fits
+                    fits ^= low
+                    bits |= nand_of[c, low.bit_length() - 1]
+        return bits
 
     def __repr__(self) -> str:
         n_patterns = sum(len(g.members) for g in self.groups)

@@ -161,24 +161,49 @@ class TestSemantics:
 
     def test_reattach_resets_caches(self, mini_patterns):
         """One Matcher reused across two different subjects must not leak
-        the feasibility cache (it is keyed by subject node uids)."""
-        matcher = Matcher(mini_patterns, MatchKind.STANDARD)
+        per-subject state keyed by subject node uids: the shape bitsets
+        (cached path) and the feasibility memo (reference path)."""
         first = decompose_network(circuits.c17())
-        matcher.attach(first)
-        counts_first = {
-            n.uid: len(matcher.matches_at(n))
-            for n in first.topological() if not n.is_pi
-        }
         second = decompose_network(circuits.parity_tree(4))
-        matcher.attach(second)
-        for node in second.topological():
-            if not node.is_pi:
-                assert matcher.matches_at(node)
-        # And going back reproduces the original counts exactly.
-        matcher.attach(first)
-        for node in first.topological():
-            if not node.is_pi:
-                assert len(matcher.matches_at(node)) == counts_first[node.uid]
+        for cache in (True, False):
+            matcher = Matcher(mini_patterns, MatchKind.STANDARD, cache=cache)
+            matcher.attach(first)
+            lists_first = {
+                n.uid: self._match_list(matcher.matches_at(n))
+                for n in first.topological() if not n.is_pi
+            }
+            for subject in (second, first):
+                matcher.attach(subject)
+                fresh = Matcher(mini_patterns, MatchKind.STANDARD, cache=False)
+                fresh.attach(subject)
+                expected = Matcher(mini_patterns, MatchKind.STANDARD)
+                expected.attach(subject)
+                for node in subject.topological():
+                    if cache:
+                        assert matcher._shape_bits_at(node) == (
+                            expected._shape_bits_at(node)
+                        )
+                    if not node.is_pi:
+                        assert self._match_list(matcher.matches_at(node)) == (
+                            self._match_list(fresh.matches_at(node))
+                        )
+            # Going back reproduces the original lists exactly.
+            for node in first.topological():
+                if not node.is_pi:
+                    assert (
+                        self._match_list(matcher.matches_at(node))
+                        == lists_first[node.uid]
+                    )
+
+    @staticmethod
+    def _match_list(matches):
+        return [
+            (
+                id(m.pattern),
+                tuple(sorted((uid, n.uid) for uid, n in m.binding.items())),
+            )
+            for m in matches
+        ]
 
 
 class TestCompletenessOracle:
