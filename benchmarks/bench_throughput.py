@@ -11,7 +11,7 @@ Two entry points:
   Asserts the two runs produce byte-identical stable rows, asserts the
   warm pool clears ``--require-speedup`` on jobs/s, and writes both
   runs' throughput counters (jobs/s, p50/p95/p99 latency, warm-cache
-  hits/misses, shard occupancy) to ``BENCH_throughput.json``.
+  hits/misses, workers spawned) to ``BENCH_throughput.json``.
 * ``pytest benchmarks/bench_throughput.py`` — a quick warm-campaign
   case on the mini library as a pytest-benchmark entry.
 
@@ -43,10 +43,7 @@ _FAST_JOBS = 120
 
 def _run(label: str, jobs: list, workers: int, warm: bool,
          verbose: bool) -> tuple:
-    # large_weight routes the 8x circuits to a dedicated shard whenever
-    # the pool has >= 2 workers (single-worker runs ignore it).
-    outcome = run_mapping_campaign(jobs, workers=workers, warm=warm,
-                                   large_weight=50)
+    outcome = run_mapping_campaign(jobs, workers=workers, warm=warm)
     stats = outcome.stats
     if not outcome.ok:
         failures = [r for r in outcome.rows if getattr(r, "failed", False)]
@@ -66,7 +63,6 @@ def _stats_record(stats: RunStats) -> Dict[str, object]:
     keep = (
         "cells_ok", "cells_failed", "wall_s", "jobs_per_s",
         "p50_s", "p95_s", "p99_s", "warm_hits", "warm_misses",
-        "shard_small_jobs", "shard_large_jobs", "shard_steals",
         "workers_spawned", "workers_recycled", "retries", "crashes",
     )
     full = stats.as_dict()

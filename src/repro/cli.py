@@ -12,8 +12,6 @@ Subcommands::
     check       lint inputs and certify mapping runs (coded diagnostics)
     fuzz        differential fuzzing with minimization and a corpus
     campaign    stream a batch of mapping jobs over warm workers
-    pareto      chart per-circuit delay/area Pareto fronts over library variants
-    tune        hill-climb library variants on a delay/area objective
 """
 
 from __future__ import annotations
@@ -646,7 +644,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             max_variants=args.variants,
             verify=args.verify,
             check=args.check,
-            large_every=args.large_every,
         )
 
     stats = RunStats()
@@ -659,7 +656,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         resume_path=args.resume,
         cell_timeout=args.cell_timeout,
         retries=args.retries,
-        large_weight=args.large_weight,
         stats=stats,
     ):
         row = result.row
@@ -692,112 +688,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             json.dump(stats.as_dict(), handle, indent=2, sort_keys=True)
             handle.write("\n")
     return 1 if failed else 0
-
-
-def _tune_sources(args: argparse.Namespace, prog: str) -> list:
-    """Build the circuit ensemble shared by ``pareto`` and ``tune``."""
-    from repro.fuzz import parse_seed_spec
-    from repro.tune import seed_sources, suite_sources
-
-    names = [c.strip() for c in (args.circuits or "").split(",") if c.strip()]
-    if bool(names) == bool(args.seeds):
-        raise SystemExit(
-            f"{prog}: give exactly one of --circuits or --seeds"
-        )
-    if names:
-        return suite_sources(names)
-    try:
-        seeds = parse_seed_spec(args.seeds)
-    except ValueError as exc:
-        raise SystemExit(f"{prog}: {exc}") from None
-    return seed_sources(seeds, nodes=args.nodes, inputs=args.inputs)
-
-
-def _lattice_config(args: argparse.Namespace) -> "object":
-    from repro.tune import LatticeConfig
-
-    targets = tuple(
-        float(t) for t in args.targets.split(",") if t.strip()
-    )
-    max_variants = tuple(
-        int(v) for v in str(args.variants).split(",") if v.strip()
-    )
-    return LatticeConfig(
-        variants=args.lib_variants,
-        drop=args.drop,
-        delay_jitter=args.delay_jitter,
-        area_jitter=args.area_jitter,
-        targets=targets,
-        max_variants=max_variants,
-        kind=args.match,
-        check=not args.no_check,
-        verify=args.verify,
-        seed=args.seed,
-    )
-
-
-def _cmd_pareto(args: argparse.Namespace) -> int:
-    from repro.tune import front_csv, front_json, run_pareto
-
-    sources = _tune_sources(args, "repro-map pareto")
-    outcome = run_pareto(
-        sources,
-        library=args.library,
-        config=_lattice_config(args),
-        workers=args.jobs,
-        warm=not args.cold,
-        refine_budget=args.refine,
-        journal_path=args.journal,
-        resume_path=args.resume,
-    )
-    csv_text = front_csv(outcome.fronts)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(csv_text)
-        print(f"written {args.csv}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(front_json(outcome.fronts))
-        print(f"written {args.json}")
-    if not args.quiet:
-        sys.stdout.write(csv_text)
-    points = sum(len(front) for front in outcome.fronts.values())
-    wall = sum(s.wall_s for s in outcome.stats)
-    print(f"pareto: {len(outcome.fronts)} circuit(s), {points} front "
-          f"point(s) from {outcome.jobs_run} job(s) "
-          f"({outcome.refine_jobs} refinement) in {wall:.2f}s")
-    for failure in outcome.failures:
-        print(f"FAILED {getattr(failure, 'circuit', '?')}: "
-              f"{getattr(failure, 'error', failure)}")
-    return 0 if outcome.ok else 1
-
-
-def _cmd_tune(args: argparse.Namespace) -> int:
-    from repro.tune import tune_search
-
-    sources = _tune_sources(args, "repro-map tune")
-    outcome = tune_search(
-        sources,
-        library=args.library,
-        alpha=args.alpha,
-        rounds=args.rounds,
-        config=_lattice_config(args),
-        workers=args.jobs,
-        warm=not args.cold,
-        budget=args.budget,
-    )
-    if not args.quiet:
-        for spec, score in outcome.history:
-            marker = " <- best" if spec == outcome.best else ""
-            print(f"  {score:10.4f}  {spec}{marker}")
-    print(f"tune: best {outcome.best!r} "
-          f"(score {outcome.best_score:.4f}, baseline {1 + args.alpha:.4f}) "
-          f"after {outcome.jobs_run} job(s), "
-          f"{len(outcome.history)} candidate(s)")
-    for failure in outcome.failures:
-        print(f"FAILED {getattr(failure, 'circuit', '?')}: "
-              f"{getattr(failure, 'error', failure)}")
-    return 0 if not outcome.failures else 1
 
 
 def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
@@ -1061,10 +951,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "campaign engine: a long-lived worker pool that "
                     "builds each (library, variants, kind) cache "
                     "bundle once per worker and reuses it across "
-                    "jobs, with size sharding, backpressure and "
-                    "journal-based resume.  Jobs come from a JSONL "
-                    "manifest (one {\"circuit\"|\"blif\"|\"seed\": ...} "
-                    "object per line) or a --seeds fuzz ensemble.",
+                    "jobs, with backpressure and journal-based "
+                    "resume.  Jobs come from a JSONL manifest (one "
+                    "{\"circuit\"|\"blif\"|\"seed\": ...} object per "
+                    "line) or a --seeds fuzz ensemble.",
     )
     p_cg.add_argument("manifest", nargs="?", default=None,
                       help="JSONL job manifest (omit when using --seeds)")
@@ -1091,113 +981,17 @@ def build_parser() -> argparse.ArgumentParser:
                       help="primary inputs per --seeds circuit")
     p_cg.add_argument("--nodes", type=int, default=16,
                       help="internal nodes per --seeds circuit")
-    p_cg.add_argument("--large-every", type=int, default=0, metavar="N",
-                      help="make every Nth --seeds circuit 8x larger "
-                           "(exercises size sharding; default off)")
     p_cg.add_argument("--jobs", "-j", type=int, default=None,
                       help="worker processes (default: CPU affinity)")
     p_cg.add_argument("--cold", action="store_true",
                       help="per-job process dispatch (fresh worker and "
                            "cache build per job; the A/B baseline)")
-    p_cg.add_argument("--large-weight", type=int, default=None, metavar="W",
-                      help="jobs with weight >= W route to the dedicated "
-                           "large-job shard")
     p_cg.add_argument("--stats-json", metavar="FILE",
                       help="write the run's throughput counters as JSON")
     p_cg.add_argument("--quiet", "-q", action="store_true",
                       help="suppress per-job result lines")
     _add_runner_arguments(p_cg)
     p_cg.set_defaults(func=_cmd_campaign)
-
-    def add_ensemble_arguments(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--circuits", metavar="NAMES",
-                       help="comma-separated benchmark-suite circuits "
-                            "(e.g. C432s,C499s)")
-        p.add_argument("--seeds", default=None, metavar="SPEC",
-                       help="fuzz-seed ensemble instead of suite circuits: "
-                            "N, A:B (half-open), A:B:STEP, or a mix")
-        p.add_argument("--inputs", type=int, default=6,
-                       help="primary inputs per --seeds circuit")
-        p.add_argument("--nodes", type=int, default=16,
-                       help="internal nodes per --seeds circuit")
-        p.add_argument("--library", "-l", default="lib2",
-                       help="base library: builtin name, genlib path or "
-                            "variant spec (base@drop=..+seed=..)")
-        p.add_argument("--lib-variants", type=int, default=4, metavar="N",
-                       help="library variants generated from the base "
-                            "(the first is always the unperturbed base)")
-        p.add_argument("--drop", type=float, default=0.15,
-                       help="per-cell removal probability of a variant")
-        p.add_argument("--delay-jitter", type=float, default=0.05,
-                       help="relative pin block-delay jitter amplitude")
-        p.add_argument("--area-jitter", type=float, default=0.05,
-                       help="relative cell-area jitter amplitude")
-        p.add_argument("--targets", default="1,1.1,1.25", metavar="SLACKS",
-                       help="comma-separated delay budgets as slack "
-                            "multipliers on the optimal delay")
-        p.add_argument("--variants", default="8", metavar="NS",
-                       help="pattern variants per gate; a comma list "
-                            "sweeps several values")
-        p.add_argument("--match", choices=("standard", "exact", "extended"),
-                       default="standard")
-        p.add_argument("--seed", type=int, default=None,
-                       help="variant-generation seed (default: "
-                            "REPRO_TUNE_SEED or 2024)")
-        p.add_argument("--no-check", action="store_true",
-                       help="skip the in-worker mapping certificate "
-                            "(on by default: every front point is "
-                            "certificate-backed)")
-        p.add_argument("--verify", action="store_true",
-                       help="also simulate every cover against its source")
-        p.add_argument("--jobs", "-j", type=int, default=None,
-                       help="worker processes (default: CPU affinity)")
-        p.add_argument("--cold", action="store_true",
-                       help="per-job process dispatch (A/B baseline)")
-        p.add_argument("--quiet", "-q", action="store_true")
-
-    p_pa = sub.add_parser(
-        "pareto",
-        help="chart per-circuit delay/area Pareto fronts over library "
-             "variants",
-        description="Expand a (circuit, library-variant, delay-target) "
-                    "job lattice, stream it through the warm-worker "
-                    "campaign engine in area-recovery mode, and reduce "
-                    "the rows into per-circuit non-dominated delay/area "
-                    "fronts.  Output is byte-identical across reruns and "
-                    "worker counts; every front point is backed by a "
-                    "certificate-checked mapping unless --no-check.",
-    )
-    add_ensemble_arguments(p_pa)
-    p_pa.add_argument("--refine", type=int, default=0, metavar="N",
-                      help="hill-climbing refinement budget: up to N "
-                           "extra jobs proposed around front points")
-    p_pa.add_argument("--csv", metavar="FILE",
-                      help="write the fronts as CSV")
-    p_pa.add_argument("--json", metavar="FILE",
-                      help="write the fronts as a JSON document")
-    p_pa.add_argument("--journal", metavar="FILE",
-                      help="append one JSONL record per finished job")
-    p_pa.add_argument("--resume", metavar="FILE",
-                      help="replay a run journal for the lattice jobs")
-    p_pa.set_defaults(func=_cmd_pareto)
-
-    p_tu = sub.add_parser(
-        "tune",
-        help="hill-climb library variants on a delay/area objective",
-        description="Greedy library tuning: evaluate neighbour variants "
-                    "of the incumbent over the whole ensemble (area "
-                    "recovery at zero delay cost) and keep the best "
-                    "normalised delay + alpha * area scorer, under a "
-                    "total job budget.",
-    )
-    add_ensemble_arguments(p_tu)
-    p_tu.add_argument("--alpha", type=float, default=0.5,
-                      help="area weight of the scalar objective")
-    p_tu.add_argument("--rounds", type=int, default=3,
-                      help="hill-climbing rounds")
-    p_tu.add_argument("--budget", type=int, default=64,
-                      help="total evaluation budget in jobs")
-    p_tu.set_defaults(func=_cmd_tune)
 
     return parser
 

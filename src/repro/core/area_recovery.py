@@ -14,7 +14,7 @@ optimal label is a lower bound on its required time, a feasible match
 always exists and the delay target is met by construction.
 
 :func:`recover_area_result` is the richer entry point used by the
-campaign engine, the Pareto tuner and the ``F010`` fuzz oracle: it keeps
+campaign engine's ``recover`` mode and the ``F010`` fuzz oracle: it keeps
 the per-node match *selection* alongside the netlist, so the recovered
 cover can be replayed and certified by
 :func:`repro.check.certify_mapping` (``selection=`` + ``target=``).

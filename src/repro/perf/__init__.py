@@ -23,9 +23,9 @@ enforced byte-identical to the seed path by the test suite:
   run.
 * :mod:`repro.perf.stream` — the one batch engine: a long-lived warm
   worker pool consuming an unbounded job iterator with per-worker cache
-  bundles, size sharding, bounded in-flight backpressure and
-  completion-order result emission, plus :func:`collect_rows` for
-  job-order results.
+  bundles, one first-in first-out job queue, bounded in-flight
+  backpressure and completion-order result emission, plus
+  :func:`collect_rows` for job-order results.
 * :mod:`repro.perf.campaign` — mapping campaigns over the stream
   engine: heterogeneous (circuit, library, mode, kind) jobs from a
   JSONL manifest, a seeded ensemble or the paper's tables (``compare``

@@ -22,9 +22,9 @@ table's :class:`~repro.harness.experiment.ComparisonRow`.  Each mode is
 one entry of a mode -> function table run inside the worker.
 
 Every finished job is journalled under :meth:`CampaignJob.key` (all job
-fields but ``weight``), so a partially journalled campaign resumes
-without re-running finished jobs — and never replays a row for a job
-that differs in any field that can change it.
+fields), so a partially journalled campaign resumes without re-running
+finished jobs — and never replays a row for a job that differs in any
+field that can change it.
 """
 
 from __future__ import annotations
@@ -66,16 +66,6 @@ __all__ = [
     "run_mapping_campaign",
 ]
 
-#: Relative job-cost multipliers for the engine's size sharding: area
-#: recovery adds a required-time pass over the labeled cover, a table
-#: comparison runs both mappers, multimap runs one full mapping per
-#: decomposition style, eco maps the base from scratch plus the
-#: incremental and the from-scratch comparison run.
-MODE_WEIGHT: Dict[str, int] = {
-    "dag": 1, "tree": 1, "recover": 2, "compare": 2, "multi": 3, "eco": 3,
-}
-
-
 @dataclass(frozen=True)
 class CampaignJob:
     """One mapping job of a campaign stream (picklable, hashable).
@@ -86,8 +76,7 @@ class CampaignJob:
             ``("blif", path)`` or ``("seed", seed, generator_json)``
             (the generator knobs as canonical JSON, so the job is
             self-contained and reproducible in any worker).
-        library: respawnable library spec (builtin name, genlib path or
-            ``base@...`` variant spec — see :mod:`repro.library.variants`).
+        library: respawnable library spec (builtin name or genlib path).
         mode: ``"dag"``, ``"tree"``, ``"recover"`` (area recovery under
             a delay budget), ``"multi"`` (multi-decomposition stitch),
             ``"eco"`` (derive a seeded edit pair from the circuit,
@@ -107,8 +96,6 @@ class CampaignJob:
         target: ``recover``-mode delay budget as a slack multiplier on
             the optimal delay (``1.0`` = recover area at zero delay
             cost); ignored by the other modes.
-        weight: size hint for the engine's large/small sharding (the
-            only field outside the journal key).
         cache: run the matcher's caches (results are identical either
             way; the uncached path is the reference oracle).
     """
@@ -123,7 +110,6 @@ class CampaignJob:
     check: bool = False
     decompose: str = "balanced"
     target: float = 1.0
-    weight: int = 0
     cache: bool = True
 
     def bundle(self) -> Tuple[object, ...]:
@@ -131,10 +117,9 @@ class CampaignJob:
         return (self.library, int(self.max_variants), self.kind)
 
     def key(self) -> CellKey:
-        """The journal identity: every field except ``weight``."""
+        """The journal identity: every field, as canonical JSON."""
         return json.dumps(
-            {f.name: getattr(self, f.name) for f in fields(self)
-             if f.name != "weight"},
+            {f.name: getattr(self, f.name) for f in fields(self)},
             sort_keys=True,
         )
 
@@ -477,6 +462,13 @@ def _entry_number(
         ) from None
 
 
+#: Manifest fields older versions accepted, with why each is gone.
+_RETIRED_FIELDS: Dict[str, str] = {
+    "engine": "there is one matching engine",
+    "weight": "the stream engine keeps one job queue",
+}
+
+
 def load_manifest(
     path: str,
     library: str = "lib2",
@@ -494,13 +486,13 @@ def load_manifest(
     ``nodes``/``outputs``/``reconvergence``/``fanout_skew``/
     ``depth_bias``) — plus optional per-job overrides (``label``,
     ``library``, ``mode``, ``kind``, ``max_variants``, ``verify``,
-    ``check``, ``decompose``, ``target``, ``weight``).  The keyword
-    arguments are the defaults a line inherits.  ``seed``,
-    ``max_variants`` and ``weight`` must convert with ``int()``,
-    ``target`` with ``float()``, and the generator knobs must satisfy
-    :class:`~repro.fuzz.generator.FuzzConfig`.  An entry's
-    effective weight is scaled by its mode's :data:`MODE_WEIGHT`
-    multiplier (recovery and multimap jobs cost more than plain runs).
+    ``check``, ``decompose``, ``target``).  The keyword arguments are
+    the defaults a line inherits.  ``seed`` and ``max_variants`` must
+    convert with ``int()``, ``target`` with ``float()``, and the
+    generator knobs must satisfy
+    :class:`~repro.fuzz.generator.FuzzConfig`.  A field that older
+    versions accepted (see :data:`_RETIRED_FIELDS`) is rejected rather
+    than silently ignored.
 
     Raises:
         RunnerConfigError: unreadable file or malformed entry (``R002``,
@@ -535,13 +527,12 @@ def load_manifest(
                 f"one of circuit/blif/seed, got {sources or 'none'}"
             )
         where = f"{path}:{lineno}"
-        if "engine" in entry:
-            raise RunnerConfigError(
-                f"[R002] campaign manifest {where}: the 'engine' field "
-                "no longer exists (there is one matching engine); "
-                "remove it"
-            )
-        weight = _entry_number(entry, "weight", 0, int, where)
+        for name, reason in _RETIRED_FIELDS.items():
+            if name in entry:
+                raise RunnerConfigError(
+                    f"[R002] campaign manifest {where}: the {name!r} "
+                    f"field no longer exists ({reason}); remove it"
+                )
         if "circuit" in entry:
             source: Tuple[str, ...] = ("suite", str(entry["circuit"]))
             stem = str(entry["circuit"])
@@ -566,14 +557,11 @@ def load_manifest(
             seed = _entry_number(entry, "seed", None, int, where)
             source = ("seed", str(seed), gen_json)
             stem = f"s{seed}"
-            if not weight:
-                weight = _entry_number(entry, "nodes", 0, int, where)
-        job_mode = str(entry.get("mode", mode))
         jobs.append(CampaignJob(
             label=str(entry.get("label", f"j{lineno}-{stem}")),
             source=source,
             library=str(entry.get("library", library)),
-            mode=job_mode,
+            mode=str(entry.get("mode", mode)),
             kind=str(entry.get("kind", kind)),
             max_variants=_entry_number(
                 entry, "max_variants", max_variants, int, where
@@ -582,7 +570,6 @@ def load_manifest(
             check=bool(entry.get("check", check)),
             decompose=str(entry.get("decompose", "balanced")),
             target=_entry_number(entry, "target", 1.0, float, where),
-            weight=weight * MODE_WEIGHT.get(job_mode, 1),
         ))
     if not jobs:
         raise RunnerConfigError(
@@ -611,8 +598,7 @@ def seed_ensemble(
     bundles — the worst case for per-process cache rebuilds and exactly
     what the warm pool amortises.  With ``large_every > 0``, every
     ``large_every``-th job generates a ``large_nodes``-node circuit
-    instead (``weight`` = its node count) to exercise the engine's
-    size sharding.
+    instead (default ``8 * nodes``), mixing circuit sizes in one stream.
     """
     if not seeds or not libraries:
         raise RunnerConfigError(
@@ -636,7 +622,6 @@ def seed_ensemble(
             max_variants=max_variants,
             verify=verify,
             check=check,
-            weight=(big if is_large else nodes) * MODE_WEIGHT.get(mode, 1),
         ))
     return jobs
 
@@ -667,7 +652,6 @@ def stream_campaign(
     cell_timeout: Optional[float] = None,
     retries: Optional[int] = None,
     backoff: Optional[float] = None,
-    large_weight: Optional[int] = None,
     max_inflight: Optional[int] = None,
     stats: Optional[RunStats] = None,
 ) -> Iterator[StreamResult]:
@@ -751,7 +735,6 @@ def stream_campaign(
                 label=jobs[i].label,
                 payload=jobs[i],
                 bundle=jobs[i].bundle(),
-                weight=jobs[i].weight,
                 key=jobs[i].key(),
             )
             for i in pending
@@ -760,7 +743,6 @@ def stream_campaign(
         (),
         policy=policy,
         max_inflight=max_inflight,
-        large_weight=large_weight,
         recycle_after=None if warm else 1,
         writer=writer,
         stats=run_stats,
@@ -789,7 +771,6 @@ def run_mapping_campaign(
     cell_timeout: Optional[float] = None,
     retries: Optional[int] = None,
     backoff: Optional[float] = None,
-    large_weight: Optional[int] = None,
     max_inflight: Optional[int] = None,
     stats: Optional[RunStats] = None,
 ) -> CampaignOutcome:
@@ -815,7 +796,6 @@ def run_mapping_campaign(
         cell_timeout=cell_timeout,
         retries=retries,
         backoff=backoff,
-        large_weight=large_weight,
         max_inflight=max_inflight,
         stats=run_stats,
     )

@@ -1,7 +1,9 @@
 """Instrumentation counters for the matcher performance layer.
 
 A :class:`MatchStats` instance rides along with one :class:`Matcher` and
-counts the work the caches saved or performed.  The counters surface in
+counts the work the caches saved or performed; :class:`SimStats` counts
+the simulation kernel's work.  Both share :class:`Counters`' merge,
+snapshot and delta.  The counters surface in
 :class:`repro.core.labeling.Labels`/:class:`repro.core.result.MappingResult`
 and are written to ``BENCH_mapper.json`` by the bench smoke so the perf
 trajectory is tracked across PRs.
@@ -10,9 +12,11 @@ trajectory is tracked across PRs.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Dict, Sequence
+from typing import Dict, Sequence, TypeVar
 
-__all__ = ["MatchStats", "SimStats", "RunStats", "percentile"]
+__all__ = ["Counters", "MatchStats", "SimStats", "RunStats", "percentile"]
+
+_C = TypeVar("_C", bound="Counters")
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -29,7 +33,34 @@ def percentile(samples: Sequence[float], q: float) -> float:
 
 
 @dataclass
-class MatchStats:
+class Counters:
+    """Base of the additive counter dataclasses.
+
+    Every field of a subclass is a number that only grows while work is
+    counted, so merging, copying and differencing two instances is the
+    same field-by-field operation for all of them.
+    """
+
+    def merge(self: _C, other: _C) -> _C:
+        """Accumulate another run's counters into this one (returns self)."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        return self
+
+    def snapshot(self: _C) -> _C:
+        """An independent copy (for before/after deltas)."""
+        return replace(self)
+
+    def delta(self: _C, since: _C) -> _C:
+        """Counters accumulated after ``since`` was snapshotted."""
+        out = self.snapshot()
+        for f in fields(self):
+            setattr(out, f.name, getattr(self, f.name) - getattr(since, f.name))
+        return out
+
+
+@dataclass
+class MatchStats(Counters):
     """Counters of one :class:`Matcher`.
 
     A matcher's instance accumulates over its whole life (a shared
@@ -73,23 +104,6 @@ class MatchStats:
         total = self.signature_hits + self.signature_misses
         return self.signature_hits / total if total else 0.0
 
-    def merge(self, other: "MatchStats") -> "MatchStats":
-        """Accumulate another run's counters into this one (returns self)."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return self
-
-    def snapshot(self) -> "MatchStats":
-        """An independent copy (for before/after deltas)."""
-        return replace(self)
-
-    def delta(self, since: "MatchStats") -> "MatchStats":
-        """Counters accumulated after ``since`` was snapshotted."""
-        out = self.snapshot()
-        for f in fields(self):
-            setattr(out, f.name, getattr(self, f.name) - getattr(since, f.name))
-        return out
-
     def as_dict(self) -> Dict[str, float]:
         out: Dict[str, float] = {f.name: getattr(self, f.name) for f in fields(self)}
         out["signature_hit_rate"] = round(self.signature_hit_rate, 4)
@@ -97,7 +111,7 @@ class MatchStats:
 
 
 @dataclass
-class SimStats:
+class SimStats(Counters):
     """Counters for the bit-parallel simulation kernel (:mod:`repro.network.bitsim`).
 
     One process-wide accumulator (``repro.network.bitsim.SIM_STATS``)
@@ -130,25 +144,6 @@ class SimStats:
         self.seconds += seconds
         if scalar:
             self.scalar_runs += 1
-
-    def merge(self, other: "SimStats") -> "SimStats":
-        """Accumulate another run's counters into this one (returns self)."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return self
-
-    def snapshot(self) -> "SimStats":
-        """An independent copy (for before/after deltas)."""
-        return SimStats(self.runs, self.vectors, self.seconds, self.scalar_runs)
-
-    def delta(self, since: "SimStats") -> "SimStats":
-        """Counters accumulated after ``since`` was snapshotted."""
-        return SimStats(
-            self.runs - since.runs,
-            self.vectors - since.vectors,
-            self.seconds - since.seconds,
-            self.scalar_runs - since.scalar_runs,
-        )
 
     def as_dict(self) -> Dict[str, float]:
         out: Dict[str, float] = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -183,9 +178,6 @@ class RunStats:
         warm_hits: jobs served by a worker that already held the job's
             cache bundle (pattern set / memos).
         warm_misses: jobs that had to build their bundle first.
-        shard_small_jobs / shard_large_jobs: jobs routed to each shard
-            of the size-sharded stream engine.
-        shard_steals: small jobs executed by an idle large-shard worker.
         workers_spawned: worker processes started over the whole run.
         workers_recycled: workers retired by the ``recycle_after``
             policy (the cold-dispatch baseline retires after every job).
@@ -207,9 +199,6 @@ class RunStats:
     p99_s: float = 0.0
     warm_hits: int = 0
     warm_misses: int = 0
-    shard_small_jobs: int = 0
-    shard_large_jobs: int = 0
-    shard_steals: int = 0
     workers_spawned: int = 0
     workers_recycled: int = 0
 

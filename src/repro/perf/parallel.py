@@ -114,25 +114,11 @@ class CellFailure:
 def resolve_library(spec: str) -> "GateLibrary":
     """Build a library from a respawnable spec (builtin name or genlib path).
 
-    A spec containing ``@`` is a *variant spec* —
-    ``base@drop=..+delay=..+area=..+seed=..`` — expanded by
-    :mod:`repro.library.variants`: the base resolves recursively and the
-    suffix applies a deterministic, seed-keyed perturbation.  (The
-    ``@`` form takes precedence over file lookup, so genlib paths must
-    not contain ``@``.)
-
     Raises:
         UnknownLibrarySpecError: (code ``R001``) when ``spec`` is neither
             a builtin name nor an existing genlib file — naming the spec
             and listing the valid builtins so CLI users can self-correct.
-        LibraryError: a variant suffix is malformed.
     """
-    if "@" in spec:
-        from repro.library.variants import apply_variant, parse_variant_spec
-
-        variant = parse_variant_spec(spec)
-        return apply_variant(resolve_library(variant.base), variant)
-
     from repro.library.builtin import lib2_like, lib44_1, lib44_3, mini_library
 
     builders = dict(zip(BUILTIN_SPECS, (lib2_like, lib44_1, lib44_3, mini_library)))

@@ -127,4 +127,5 @@ def cone_signature(
             visit(fanin, False)
 
     visit(root, True)
+    del visit  # the closure refers to itself: break the cycle
     return tuple(tokens), nodes

@@ -18,11 +18,9 @@ retries and graceful ``KeyboardInterrupt``, in a *streaming* form:
   use otherwise — and reuses it for every later job with the same key.
   Whether a job was served warm is reported per result and counted in
   :class:`~repro.perf.counters.RunStats` (``warm_hits``/``warm_misses``);
-* **size-based sharding**: when ``large_weight`` is set, jobs at or
-  above that weight go to a dedicated *large* worker subset so a few
-  heavy circuits cannot head-of-line block the small ones.  Idle large
-  workers steal small jobs (counted as ``shard_steals``); small workers
-  never take large jobs;
+* ready jobs wait in **one FIFO queue**; an idle worker takes the
+  oldest, and a retried job rejoins the back of the queue once its
+  backoff has passed;
 * ``recycle_after=N`` retires a worker after N jobs and spawns a fresh
   replacement.  ``recycle_after=1`` is the *cold* baseline — every job
   pays a fresh process + bundle build — which is exactly what
@@ -69,11 +67,8 @@ from repro.perf.parallel import (
 
 __all__ = ["StreamJob", "StreamResult", "collect_rows", "stream_jobs"]
 
-#: Share of a sharded pool dedicated to large jobs.
-_LARGE_SHARE = 0.25
-
 #: A bundle key: any hashable, picklable tuple understood by the
-#: driver's bundle factory (e.g. ``(library, variants, kind, engine)``).
+#: driver's bundle factory (e.g. ``(library, variants, kind)``).
 BundleKey = Tuple[object, ...]
 
 #: ``factory(*factory_args)`` runs once per worker process and returns
@@ -89,8 +84,6 @@ class StreamJob:
         label: display name; also the target of ``REPRO_FAULT_INJECT``.
         payload: picklable argument handed to the bundle's runner.
         bundle: cache-bundle key this job needs (see module docstring).
-        weight: size hint for sharding; jobs with ``weight >=
-            large_weight`` go to the large-worker shard.
         key: optional journal identity; when set (and the engine has a
             writer) the finished job is appended to the run journal.
     """
@@ -98,7 +91,6 @@ class StreamJob:
     label: str
     payload: object
     bundle: BundleKey = ("task",)
-    weight: int = 0
     key: Optional[CellKey] = None
 
 
@@ -131,12 +123,11 @@ class StreamResult:
 
 @dataclass
 class _StreamWorker:
-    """Supervisor-side worker handle with shard and recycle bookkeeping."""
+    """Supervisor-side worker handle with recycle bookkeeping."""
 
     proc: multiprocessing.process.BaseProcess
     inbox: Any
     conn: Any
-    shard: str
     task: Optional[Tuple[int, str, int]] = None  # (index, label, attempt)
     assigned_at: float = 0.0
     jobs_done: int = 0
@@ -150,7 +141,6 @@ def stream_jobs(
     policy: RunPolicy,
     eager_bundles: Sequence[BundleKey] = (),
     max_inflight: Optional[int] = None,
-    large_weight: Optional[int] = None,
     recycle_after: Optional[int] = None,
     writer: Optional[JournalWriter] = None,
     stats: Optional[RunStats] = None,
@@ -163,9 +153,9 @@ def stream_jobs(
     with :meth:`RunPolicy.resolve`, tests construct it directly) — the
     engine itself never reads the environment.
     ``stats`` — when given — accumulates throughput counters
-    (retries/timeouts/crashes, warm hits/misses, shard occupancy,
-    latency percentiles, jobs/s); totals (``cells_total``/``ok``/
-    ``failed``) stay with the driver, which knows about resumed cells.
+    (retries/timeouts/crashes, warm hits/misses, latency percentiles,
+    jobs/s); totals (``cells_total``/``ok``/``failed``) stay with the
+    driver, which knows about resumed cells.
 
     Raises:
         RunnerConfigError: bad knob values (``R002``).
@@ -185,8 +175,6 @@ def stream_jobs(
             f"({workers}) or the pool can never fill"
         )
     run_stats = stats if stats is not None else RunStats()
-    sharded = large_weight is not None and workers >= 2
-    n_large = max(1, min(workers - 1, round(workers * _LARGE_SHARE))) if sharded else 0
 
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
@@ -197,8 +185,7 @@ def stream_jobs(
     seen: List[StreamJob] = []
     completed_n = 0
     done: set = set()
-    ready_small: Deque[Tuple[int, int]] = deque()
-    ready_large: Deque[Tuple[int, int]] = deque()
+    ready: Deque[Tuple[int, int]] = deque()  # (index, attempt)
     delayed: List[Tuple[float, int, int]] = []  # (eligible_at, index, attempt)
     cell_wall: Dict[int, float] = {}
     latencies: List[float] = []
@@ -207,16 +194,6 @@ def stream_jobs(
     next_wid = 0
     emit: Deque[StreamResult] = deque()
     started = time.perf_counter()
-
-    def enqueue(index: int, attempt: int) -> None:
-        if sharded and seen[index].weight >= int(large_weight or 0):
-            ready_large.append((index, attempt))
-            if attempt == 0:
-                run_stats.shard_large_jobs += 1
-        else:
-            ready_small.append((index, attempt))
-            if attempt == 0:
-                run_stats.shard_small_jobs += 1
 
     def refill() -> None:
         nonlocal exhausted
@@ -229,12 +206,12 @@ def stream_jobs(
             index = len(seen)
             seen.append(job)
             cell_wall[index] = 0.0
-            enqueue(index, 0)
+            ready.append((index, 0))
 
     def work_remains() -> bool:
-        return bool(ready_small or ready_large or delayed) or not exhausted
+        return bool(ready or delayed) or not exhausted
 
-    def spawn(shard: str) -> None:
+    def spawn() -> None:
         nonlocal next_wid
         inbox = ctx.SimpleQueue()
         recv_conn, send_conn = ctx.Pipe(duplex=False)
@@ -246,9 +223,7 @@ def stream_jobs(
         )
         proc.start()
         send_conn.close()  # child keeps its copy; parent only reads
-        pool[next_wid] = _StreamWorker(
-            proc=proc, inbox=inbox, conn=recv_conn, shard=shard
-        )
+        pool[next_wid] = _StreamWorker(proc=proc, inbox=inbox, conn=recv_conn)
         next_wid += 1
         run_stats.workers_spawned += 1
 
@@ -337,7 +312,7 @@ def stream_jobs(
         retiring.append(worker)
         run_stats.workers_recycled += 1
         if work_remains():
-            spawn(worker.shard)
+            spawn()
 
     def handle(message: tuple) -> None:
         tag = message[0]
@@ -386,18 +361,17 @@ def stream_jobs(
             worker.proc.join(0.1)
         if work_remains() and len(pool) < workers:
             run_stats.workers_replaced += 1
-            spawn(worker.shard)
+            spawn()
 
     refill()
     if exhausted and not seen:
         _finalize(run_stats, started, latencies, completed_n)
         return
     to_spawn = workers if not exhausted else max(1, min(workers, len(seen)))
-    large_target = min(n_large, max(0, to_spawn - 1))
     try:
         try:
-            for i in range(to_spawn):
-                spawn("large" if i < large_target else "small")
+            for _ in range(to_spawn):
+                spawn()
             while True:
                 refill()
                 if exhausted and completed_n >= len(seen):
@@ -406,22 +380,13 @@ def stream_jobs(
                 for entry in sorted(delayed):
                     if entry[0] <= now:
                         delayed.remove(entry)
-                        enqueue(entry[1], entry[2])  # retries keep their shard
+                        ready.append((entry[1], entry[2]))
                 for worker in pool.values():
+                    if not ready:
+                        break
                     if worker.task is not None:
                         continue
-                    entry2: Optional[Tuple[int, int]] = None
-                    if worker.shard == "large":
-                        if ready_large:
-                            entry2 = ready_large.popleft()
-                        elif ready_small:
-                            entry2 = ready_small.popleft()
-                            run_stats.shard_steals += 1
-                    elif ready_small:
-                        entry2 = ready_small.popleft()
-                    if entry2 is None:
-                        continue
-                    index, attempt = entry2
+                    index, attempt = ready.popleft()
                     job = seen[index]
                     worker.task = (index, job.label, attempt)
                     worker.assigned_at = now

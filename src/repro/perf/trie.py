@@ -97,6 +97,7 @@ def _ordered_serial(
             visit(node.fanins[1])
 
     visit(pattern.root)
+    del visit  # the closure refers to itself: break the cycle
     return tuple(tokens), order
 
 

@@ -20,6 +20,12 @@ from repro.perf.campaign import (
     seed_ensemble,
 )
 
+
+def _nodes(job):
+    """The generated circuit size a seed job's generator JSON asks for."""
+    return json.loads(job.source[2])["n_nodes"]
+
+
 #: A small mixed ensemble: two libraries, both mapper modes, two
 #: match kinds — every distinct cache bundle the pool must juggle.
 def _mixed_jobs():
@@ -43,12 +49,12 @@ class TestJobConstruction:
         assert [j.label for j in jobs] == [
             "s0-mini", "s1-lib2", "s2-mini", "s3-lib2",
         ]
-        assert all(j.weight == 8 for j in jobs)
+        assert all(_nodes(j) == 8 for j in jobs)
 
     def test_seed_ensemble_large_every(self):
         jobs = seed_ensemble(range(6), ["mini"], nodes=8, inputs=4,
                              large_every=3, large_nodes=40)
-        assert [j.weight for j in jobs] == [8, 8, 40, 8, 8, 40]
+        assert [_nodes(j) for j in jobs] == [8, 8, 40, 8, 8, 40]
 
     def test_seed_ensemble_empty_rejected(self):
         with pytest.raises(RunnerConfigError, match=r"\[R002\]"):
@@ -66,7 +72,7 @@ class TestJobConstruction:
     def test_manifest_roundtrip(self, tmp_path):
         path = tmp_path / "jobs.jsonl"
         path.write_text(
-            '{"circuit": "C432s", "library": "mini", "weight": 200}\n'
+            '{"circuit": "C432s", "library": "mini"}\n'
             "# a comment line\n"
             "\n"
             '{"seed": 7, "nodes": 9, "inputs": 4, "label": "tiny",'
@@ -76,12 +82,11 @@ class TestJobConstruction:
         assert len(jobs) == 2
         assert jobs[0].source == ("suite", "C432s")
         assert jobs[0].library == "mini"
-        assert jobs[0].weight == 200
         assert jobs[1].label == "tiny"
         assert jobs[1].kind == "exact"
         assert jobs[1].library == "lib2"
         assert jobs[1].source[0] == "seed"
-        assert jobs[1].weight == 9
+        assert _nodes(jobs[1]) == 9
 
     def test_manifest_malformed_json_is_coded(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -111,7 +116,8 @@ class TestJobConstruction:
         ({"seed": 1, "inputs": 0}, "bad circuit generator knobs"),
         ({"circuit": "C432s", "max_variants": "lots"},
          "max_variants must be an integer"),
-        ({"circuit": "C432s", "weight": [1]}, "weight must be an integer"),
+        ({"circuit": "C432s", "weight": [1]},
+         "the 'weight' field no longer exists"),
         ({"circuit": "C432s", "mode": "recover", "target": "loose"},
          "target must be a number"),
     ])
@@ -143,7 +149,8 @@ class TestJobConstruction:
 
 
 class TestCampaignModes:
-    """The recover and multi campaign modes added for library tuning."""
+    """The recover (area recovery under a delay budget) and multi
+    (multi-decomposition) campaign modes."""
 
     def _mode_jobs(self):
         base = seed_ensemble(range(2), ["mini"], nodes=10, inputs=4)
@@ -186,8 +193,6 @@ class TestCampaignModes:
             assert a.stable() == b.stable()
 
     def test_manifest_target_and_mode_weight(self, tmp_path):
-        from repro.perf.campaign import MODE_WEIGHT
-
         path = tmp_path / "jobs.jsonl"
         path.write_text(
             '{"seed": 1, "nodes": 8, "inputs": 4, "mode": "recover",'
@@ -197,8 +202,8 @@ class TestCampaignModes:
         jobs = load_manifest(str(path), library="mini")
         assert jobs[0].mode == "recover"
         assert jobs[0].target == 1.3
-        assert jobs[0].weight == 8 * MODE_WEIGHT["recover"]
-        assert jobs[1].weight == 8 * MODE_WEIGHT["multi"]
+        assert jobs[1].mode == "multi"
+        assert [_nodes(j) for j in jobs] == [8, 8]
 
 
 class TestValidation:
@@ -433,10 +438,13 @@ class TestEcoMode:
             _run_campaign_job(self._eco_jobs()[0], patterns)
 
     def test_eco_mode_weight(self):
-        from repro.perf.campaign import MODE_WEIGHT, MODES
+        from repro.perf.campaign import MODES
 
         assert "eco" in MODES
-        assert MODE_WEIGHT["eco"] >= 2  # maps the circuit three times
+        jobs = seed_ensemble(range(2), ["mini"], nodes=10, inputs=4,
+                             mode="eco")
+        assert [j.mode for j in jobs] == ["eco", "eco"]
+        assert [_nodes(j) for j in jobs] == [10, 10]
 
 
 class TestJournalKey:
@@ -446,6 +454,14 @@ class TestJournalKey:
         import dataclasses
 
         job = CampaignJob(label="a", source=("suite", "C432s"))
+        # Pinned bytes: any change orphans every journalled row, so
+        # existing repro-run-journal/3 files would stop resuming.
+        assert job.key() == (
+            '{"cache": true, "check": false, "decompose": "balanced", '
+            '"kind": "standard", "label": "a", "library": "lib2", '
+            '"max_variants": 8, "mode": "dag", "source": ["suite", '
+            '"C432s"], "target": 1.0, "verify": false}'
+        )
         other = {
             str: lambda v: v + "x",
             tuple: lambda v: v + ("x",),
@@ -458,10 +474,7 @@ class TestJournalKey:
             changed = dataclasses.replace(
                 job, **{field.name: other[type(value)](value)}
             )
-            if field.name == "weight":
-                assert changed.key() == job.key()
-            else:
-                assert changed.key() != job.key(), field.name
+            assert changed.key() != job.key(), field.name
 
     @pytest.mark.parametrize("changed", [
         {"mode": "recover"}, {"kind": "exact"},

@@ -122,6 +122,14 @@ class TestMapping:
                      "--format", "verilog", "-o", str(out)]) == 0
         assert "endmodule" in out.read_text()
 
+    def test_map_at_library_spec_is_unknown(self, blif_path, capsys):
+        # Library specs with an '@' suffix are not a spec form: they get
+        # the coded unknown-spec error like any other bad name.
+        assert main(["map", "-l", "lib2@drop=0.2", blif_path]) == 2
+        err = capsys.readouterr().err
+        assert "[R001]" in err and "lib2@drop=0.2" in err
+        assert "Traceback" not in err
+
     def test_map_tree_mode(self, blif_path, capsys):
         assert main(["map", blif_path, "--library", "mini",
                      "--mode", "tree"]) == 0

@@ -253,3 +253,24 @@ def test_warm_remap_computes_no_bitsets(pattern_sets):
     assert warm.match_stats["feasibility_misses"] == 0
     assert warm.match_stats["groups_enumerated"] == 0
     assert warm.arrival == cold.arrival
+
+
+def test_matcher_sweep_leaves_no_cyclic_garbage(pattern_sets):
+    """A Matcher build and a full match sweep are freed by reference
+    counting alone: no helper leaves a reference cycle behind."""
+    import gc
+
+    patterns = pattern_sets["44-3"]
+    _, subject = build_subject("C432s")
+    gc.collect()
+    gc.disable()
+    try:
+        matcher = Matcher(patterns, MatchKind.STANDARD)
+        matcher.attach(subject)
+        for node in subject.topological():
+            if not node.is_pi:
+                matcher.matches_at(node)
+        del matcher
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

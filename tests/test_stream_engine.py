@@ -2,8 +2,8 @@
 
 Exercises the engine through the generic task-bundle factory with
 cheap picklable payloads: completion-order emission, bounded in-flight
-backpressure against an instrumented lazy iterator, size sharding with
-steal accounting, worker recycling (the cold-dispatch baseline), warm
+backpressure against an instrumented lazy iterator, first-in first-out
+dispatch, worker recycling (the cold-dispatch baseline), warm
 cache-bundle counters and per-task error isolation.
 """
 
@@ -72,6 +72,12 @@ class TestStreaming:
             assert not r.failed
         assert stats.workers_spawned == 2
 
+    def test_one_worker_runs_jobs_in_input_order(self):
+        # One ready queue: an idle worker always takes the oldest job.
+        jobs = [StreamJob(label=f"t{i}", payload=i) for i in range(12)]
+        results, _ = _run_stream(jobs, policy=RunPolicy(workers=1))
+        assert [r.index for r in results] == list(range(12))
+
     def test_backpressure_bounds_iterator_pull(self):
         pulled = []
         max_inflight = 4
@@ -125,36 +131,6 @@ class TestStreaming:
         assert failure.row.error_type == "ValueError"
         assert failure.row.attempts == 2
         assert stats.retries == 1
-
-
-class TestSharding:
-    def test_weights_route_to_large_shard(self):
-        jobs = [
-            StreamJob(label=f"t{i}", payload=i,
-                      weight=500 if i % 5 == 0 else 1)
-            for i in range(20)
-        ]
-        results, stats = _run_stream(jobs, policy=RunPolicy(workers=2),
-                                     large_weight=100)
-        assert len(results) == 20
-        assert stats.shard_large_jobs == 4
-        assert stats.shard_small_jobs == 16
-
-    def test_large_workers_steal_small_jobs_when_idle(self):
-        # Only small jobs: the large-shard worker has nothing of its own
-        # and must steal to stay busy.
-        jobs = [StreamJob(label=f"t{i}", payload=i) for i in range(40)]
-        _, stats = _run_stream(jobs, policy=RunPolicy(workers=2),
-                               large_weight=100)
-        assert stats.shard_large_jobs == 0
-        assert stats.shard_steals > 0
-
-    def test_without_large_weight_no_large_shard(self):
-        jobs = [StreamJob(label=f"t{i}", payload=i, weight=10 ** 9)
-                for i in range(6)]
-        _, stats = _run_stream(jobs, policy=RunPolicy(workers=2))
-        assert stats.shard_large_jobs == 0
-        assert stats.shard_steals == 0
 
 
 class TestRecycling:
